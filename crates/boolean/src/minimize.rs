@@ -5,6 +5,13 @@
 //! everything else (unreachable codes) is an implicit don't-care. This is
 //! exactly the setting of espresso's `expand`/`irredundant`/`reduce` loop
 //! with an OFF-set oracle, which we implement here in a compact form.
+//!
+//! Expansion follows espresso (Brayton, Hachtel, McMullen &
+//! Sangiovanni-Vincentelli, *Logic Minimization Algorithms for VLSI
+//! Synthesis*, 1984): ON minterms are expanded in code order and a minterm
+//! already covered by an earlier expanded cube is skipped, and each cube is
+//! expanded in a single pass over its literals — a literal that cannot be
+//! dropped stays undroppable as the cube grows.
 
 use crate::cover::Cover;
 use crate::cube::{Cube, MAX_VARS};
@@ -112,14 +119,18 @@ impl MinimizeProblem {
         cover
     }
 
-    /// Expands each ON minterm into a prime-like cube against the OFF list.
+    /// Expands the ON minterms, in code order, into prime cubes against
+    /// the OFF list. A minterm that an earlier expanded cube already
+    /// covers is skipped (espresso's rule), so each returned cube is
+    /// distinct and the work is proportional to the cover, not to the
+    /// ON-set. A skipped minterm offers `irredundant` no prime of its own,
+    /// so on some problems the cover differs from expanding every minterm;
+    /// the golden covers under `tests/golden` pin the state-graph ones.
     fn expand_all(&self) -> Vec<Cube> {
-        let mut seen = HashSet::new();
-        let mut cubes = Vec::new();
+        let mut cubes: Vec<Cube> = Vec::new();
         for &m in &self.on {
-            let cube = self.expand_cube(Cube::minterm(m, self.nvars));
-            if seen.insert(cube) {
-                cubes.push(cube);
+            if !cubes.iter().any(|c| c.eval(m)) {
+                cubes.push(self.expand_cube(Cube::minterm(m, self.nvars)));
             }
         }
         cubes
@@ -127,20 +138,16 @@ impl MinimizeProblem {
 
     /// Greedily removes literals from `cube` while it stays disjoint from
     /// the OFF-set, trying variables in the problem's precomputed order.
-    fn expand_cube(&self, cube: Cube) -> Cube {
-        let mut cube = cube;
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &v in &self.var_order {
-                if cube.phase_of(v).is_none() {
-                    continue;
-                }
-                let widened = cube.without_var(v);
-                if !self.off.iter().any(|&m| widened.eval(m)) {
-                    cube = widened;
-                    changed = true;
-                }
+    /// One pass suffices: dropping a literal only grows the cube, so a
+    /// literal whose removal hit the OFF-set once hits it again later.
+    fn expand_cube(&self, mut cube: Cube) -> Cube {
+        for &v in &self.var_order {
+            if cube.phase_of(v).is_none() {
+                continue;
+            }
+            let widened = cube.without_var(v);
+            if !self.off.iter().any(|&m| widened.eval(m)) {
+                cube = widened;
             }
         }
         cube
@@ -263,24 +270,6 @@ pub fn minimize_onoff(
     Ok(MinimizeProblem::new(nvars, on.to_vec(), off.to_vec())?.minimize())
 }
 
-/// Builds the cover that is exactly the characteristic function of `on`
-/// against `off`, *without* expansion beyond what containment allows — i.e.
-/// just the ON minterms merged by the minimizer. Useful as a safe fallback.
-pub fn exact_characteristic(nvars: usize, on: &[u64]) -> Cover {
-    Cover::from_cubes(on.iter().map(|&m| Cube::minterm(m, nvars)))
-}
-
-/// Returns `true` if the cover evaluates to 1 somewhere on the given codes.
-pub fn intersects_codes(cover: &Cover, codes: &[u64]) -> bool {
-    codes.iter().any(|&m| cover.eval(m))
-}
-
-/// Restricts a cover's truth table to an explicit universe, returning the
-/// codes where it holds.
-pub fn on_codes(cover: &Cover, universe: &[u64]) -> Vec<u64> {
-    universe.iter().copied().filter(|&m| cover.eval(m)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,13 +368,5 @@ mod tests {
         assert!(f.covers_all(&on));
         assert!(f.avoids_all(&off));
         assert_eq!(f.cube_count(), 2, "two essential primes suffice: {f:?}");
-    }
-
-    #[test]
-    fn exact_characteristic_covers() {
-        let on = [0b101, 0b100];
-        let f = exact_characteristic(3, &on);
-        assert!(f.covers_all(&on));
-        assert!(!f.eval(0b111));
     }
 }

@@ -17,7 +17,7 @@
 
 use crate::insertion::{compute_insertion, insert_signal, Insertion};
 use crate::mc::{
-    run_parallel, synthesize_mc_jobs, synthesize_signal, McError, McImpl, SignalBody, SignalImpl,
+    run_parallel, synthesize_mc, synthesize_signal, McError, McImpl, SignalBody, SignalImpl,
 };
 use crate::observer::{FlowObserver, NullObserver};
 use crate::progress::estimate_progress;
@@ -143,10 +143,12 @@ pub fn decompose_with(
     config: &DecomposeConfig,
     observer: &mut dyn FlowObserver,
 ) -> Result<DecomposeResult, McError> {
-    decompose_with_jobs(sg, config, 1, observer)
+    decompose_with_jobs(sg, synthesize_mc(sg)?, config, 1, observer)
 }
 
-/// Like [`decompose_with`], but fans the independent per-candidate and
+/// Like [`decompose_with`], but starts from `initial`, the monotonous-cover
+/// implementation of `sg` the Covers stage already synthesized (it must
+/// equal `synthesize_mc(sg)`), and fans the independent per-candidate and
 /// per-signal synthesis work across `jobs` worker threads. Candidates are
 /// still folded in ranked order and signals merged in signal-index order,
 /// so the result is byte-identical to the sequential run — `jobs` only
@@ -157,12 +159,13 @@ pub fn decompose_with(
 /// See [`decompose`].
 pub fn decompose_with_jobs(
     sg: &StateGraph,
+    initial: McImpl,
     config: &DecomposeConfig,
     jobs: usize,
     observer: &mut dyn FlowObserver,
 ) -> Result<DecomposeResult, McError> {
     let mut sg = sg.clone();
-    let mut mc = synthesize_mc_jobs(&sg, jobs)?;
+    let mut mc = initial;
     let mut inserted: Vec<String> = Vec::new();
     let mut steps: Vec<DecomposeStep> = Vec::new();
 
@@ -237,9 +240,9 @@ pub fn decompose_with_jobs(
                 if !check_all(&candidate_sg).is_ok() {
                     return None;
                 }
+                let affected = affected_signals(&candidate_sg, *target_signal);
                 let candidate_mc =
-                    resynthesize_affected(&candidate_sg, &mc, ins, *target_signal, inner_jobs)
-                        .ok()?;
+                    resynthesize(&candidate_sg, &mc, inner_jobs, |s| affected.contains(&s)).ok()?;
                 if config.ack_mode == AckMode::Local {
                     let x = SignalId(candidate_sg.signal_count() - 1);
                     if !locally_acknowledged(&candidate_mc, *target_signal, x) {
@@ -251,25 +254,30 @@ pub fn decompose_with_jobs(
                     return None;
                 }
                 let area = crate::flow::si_cost(&candidate_mc, config.literal_limit.max(2)).area();
-                Some((excess_after, area, candidate_sg, candidate_mc, f.clone()))
+                Some((excess_after, area, candidate_sg, candidate_mc, affected, f.clone()))
             });
-            let mut best: Option<(usize, usize, StateGraph, McImpl, Cover)> = None;
+            let mut best: Option<(usize, usize, StateGraph, McImpl, HashSet<SignalId>, Cover)> =
+                None;
             for candidate in evaluated.into_iter().flatten() {
                 let (excess_after, area, ..) = &candidate;
                 if best.as_ref().map(|(e, a, ..)| (excess_after, area) < (e, a)).unwrap_or(true) {
                     best = Some(candidate);
                 }
             }
-            if let Some((_, _, candidate_sg, candidate_mc, f)) = best {
+            if let Some((_, _, candidate_sg, candidate_mc, affected, f)) = best {
                 // Full resynthesis on commit ("the implementation of every
                 // signal is recomputed at every step", §3) — keeping, per
-                // signal, whichever implementation is cheaper. In local
-                // mode the partial implementation is kept as-is: the full
-                // resynthesis could re-introduce sharing across signals.
+                // signal, whichever implementation is cheaper. The affected
+                // signals were just synthesized on this very graph, so only
+                // the rest is recomputed. In local mode the partial
+                // implementation is kept as-is: the full resynthesis could
+                // re-introduce sharing across signals.
                 let merged = if config.ack_mode == AckMode::Local {
                     candidate_mc
                 } else {
-                    let full = synthesize_mc_jobs(&candidate_sg, jobs)?;
+                    let full = resynthesize(&candidate_sg, &candidate_mc, jobs, |s| {
+                        !affected.contains(&s)
+                    })?;
                     merge_cheaper(full, candidate_mc)
                 };
                 let excess_after = excess(&merged, config.literal_limit);
@@ -298,21 +306,13 @@ pub fn decompose_with_jobs(
     }
 }
 
-/// Rebuilds an implementation for `candidate_sg` (which is `mc`'s graph
-/// plus one inserted signal) by resynthesizing only the signals the
-/// insertion can affect: the decomposition target, the new signal itself,
-/// and every signal owning an event delayed by the grown excitation
-/// regions (those events gain `x` as trigger and their covers change
-/// category). All other covers mention neither `x` nor any state whose
-/// region classification moved, so they stay valid verbatim.
-fn resynthesize_affected(
-    candidate_sg: &StateGraph,
-    mc: &McImpl,
-    ins: &Insertion,
-    target: SignalId,
-    jobs: usize,
-) -> Result<McImpl, McError> {
-    let _ = ins;
+/// The signals an insertion can affect, on `candidate_sg` (the previous
+/// graph plus the inserted signal `x`, the last one): the decomposition
+/// target, `x` itself, and every signal owning an event delayed by the
+/// grown excitation regions (those events gain `x` as trigger and their
+/// covers change category). All other covers mention neither `x` nor any
+/// state whose region classification moved, so they stay valid verbatim.
+fn affected_signals(candidate_sg: &StateGraph, target: SignalId) -> HashSet<SignalId> {
     let x = SignalId(candidate_sg.signal_count() - 1);
     let mut affected: HashSet<SignalId> = HashSet::new();
     affected.insert(target);
@@ -331,22 +331,28 @@ fn resynthesize_affected(
             }
         }
     }
+    affected
+}
 
-    let targets = candidate_sg.implementable_signals();
+/// Implements every implementable signal of `sg`: those `fresh` selects
+/// are synthesized on `sg`, the others are copied from `previous`. Results
+/// merge in signal-index order, and the error is the first in that order.
+fn resynthesize(
+    sg: &StateGraph,
+    previous: &McImpl,
+    jobs: usize,
+    fresh: impl Fn(SignalId) -> bool + Sync,
+) -> Result<McImpl, McError> {
+    let targets = sg.implementable_signals();
     let results = run_parallel(&targets, jobs, |&signal| {
-        if affected.contains(&signal) {
-            synthesize_signal(candidate_sg, signal)
+        if fresh(signal) {
+            synthesize_signal(sg, signal)
         } else {
-            let previous =
-                mc.signal_impl(signal).expect("unaffected signal existed before the insertion");
-            Ok(previous.clone())
+            let kept = previous.signal_impl(signal).expect("copied signal has an implementation");
+            Ok(kept.clone())
         }
     });
-    let mut signals = Vec::with_capacity(results.len());
-    for result in results {
-        signals.push(result?);
-    }
-    Ok(McImpl { signals })
+    results.into_iter().collect::<Result<Vec<_>, _>>().map(|signals| McImpl { signals })
 }
 
 /// Merges two implementations of the same graph, keeping per signal the
@@ -425,7 +431,6 @@ fn locally_acknowledged(mc: &McImpl, target: SignalId, x: SignalId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mc::synthesize_mc;
     use simap_sg::{Event, Signal, StateGraphBuilder};
 
     /// k-input C element spec as a state graph (inputs a0..ak-1, output c).

@@ -104,7 +104,7 @@
 //! | Knob | Fans out | Scope |
 //! |------|----------|-------|
 //! | [`ConfigBuilder::reach_jobs`] | frontier expansion inside one elaboration | one STG → state-graph run |
-//! | [`ConfigBuilder::synth_jobs`] | per-signal cover synthesis ([`mc::synthesize_mc_jobs`]) and decomposition candidate evaluation ([`decompose::decompose_with_jobs`]) | one flow's Covers + Decompose stages |
+//! | [`ConfigBuilder::synth_jobs`] | per-signal cover synthesis ([`mc::synthesize_mc_jobs`]) and decomposition candidate evaluation ([`decompose::decompose_with_jobs`], which starts from the Covers stage's `McImpl` instead of synthesizing it again) | one flow's Covers + Decompose stages |
 //! | [`Batch::jobs`] | whole specifications across a worker pool | many flows, one process |
 //! | `simap serve --jobs` | concurrent HTTP jobs over one shared engine | many flows, many clients |
 //!

@@ -318,8 +318,8 @@ pub fn synthesize_signal(sg: &StateGraph, signal: SignalId) -> Result<SignalImpl
     }
 
     // Standard-C candidate: per-region set/reset covers plus a C element.
-    let set = region_covers(sg, signal, Event::rise(signal), &name)?;
-    let reset = region_covers(sg, signal, Event::fall(signal), &name)?;
+    let set = region_covers(sg, Event::rise(signal), &name)?;
+    let reset = region_covers(sg, Event::fall(signal), &name)?;
     let standard_c = SignalBody::StandardC { set, reset };
 
     // Pick the cheaper body: first by the most complex gate (the quantity
@@ -353,12 +353,7 @@ pub fn synthesize_signal(sg: &StateGraph, signal: SignalId) -> Result<SignalImpl
 
 /// Synthesizes the covers for all excitation regions of `event`, merging
 /// regions whose state codes overlap.
-fn region_covers(
-    sg: &StateGraph,
-    _signal: SignalId,
-    event: Event,
-    name: &str,
-) -> Result<Vec<RegionCover>, McError> {
+fn region_covers(sg: &StateGraph, event: Event, name: &str) -> Result<Vec<RegionCover>, McError> {
     let regions = regions_of(sg, event);
     if regions.is_empty() {
         return Ok(Vec::new());
@@ -371,7 +366,7 @@ fn region_covers(
     'merge: loop {
         for (gi, group) in groups.iter().enumerate() {
             let (on_codes, dc_codes) = group_on_dc(sg, &regions, group);
-            let member_states = group_states(sg, &regions, group);
+            let member_states = group_states(&regions, group);
             for &s in &all_states {
                 if member_states.contains(&s) {
                     continue;
@@ -403,7 +398,7 @@ fn region_covers(
     let mut covers = Vec::new();
     for group in &groups {
         let cover = synthesize_group_cover(sg, &regions, group, nvars, name)?;
-        let complexity = cover_complexity(sg, &regions, group, &cover, nvars);
+        let complexity = cover_complexity(sg, &cover, nvars);
         covers.push(RegionCover { event, region_indices: group.clone(), cover, complexity });
     }
     Ok(covers)
@@ -427,8 +422,7 @@ fn group_on_dc(
     (on, dc)
 }
 
-fn group_states(sg: &StateGraph, regions: &[Region], group: &[usize]) -> HashSet<StateId> {
-    let _ = sg;
+fn group_states(regions: &[Region], group: &[usize]) -> HashSet<StateId> {
     let mut states = HashSet::new();
     for &ri in group {
         states.extend(regions[ri].er.iter());
@@ -448,7 +442,7 @@ fn synthesize_group_cover(
     name: &str,
 ) -> Result<Cover, McError> {
     let (on_codes, dc_codes) = group_on_dc(sg, regions, group);
-    let member_states = group_states(sg, regions, group);
+    let member_states = group_states(regions, group);
     let mut off_codes: HashSet<u64> = HashSet::new();
     for s in sg.states() {
         if !member_states.contains(&s) {
@@ -459,7 +453,6 @@ fn synthesize_group_cover(
         }
     }
 
-    let in_er = |s: StateId| group.iter().any(|&ri| regions[ri].er.contains(s));
     let in_qr = |s: StateId| group.iter().any(|&ri| regions[ri].qr.contains(s));
 
     let mut extra_off: HashSet<u64> = HashSet::new();
@@ -480,7 +473,6 @@ fn synthesize_group_cover(
                 }
             }
         }
-        let _ = in_er;
         if violations.is_empty() {
             return Ok(cover);
         }
@@ -508,14 +500,7 @@ fn synthesize_group_cover(
 
 /// Gate complexity of a synthesized cover: `min(lits(F), lits(F̄))` with
 /// the complement minimized against the same reachable universe.
-fn cover_complexity(
-    sg: &StateGraph,
-    regions: &[Region],
-    group: &[usize],
-    cover: &Cover,
-    nvars: usize,
-) -> usize {
-    let _ = (regions, group);
+fn cover_complexity(sg: &StateGraph, cover: &Cover, nvars: usize) -> usize {
     let universe = sg.reachable_codes();
     let on: Vec<u64> = universe.iter().copied().filter(|&c| cover.eval(c)).collect();
     let off: Vec<u64> = universe.iter().copied().filter(|&c| !cover.eval(c)).collect();

@@ -580,7 +580,8 @@ impl Covers {
         self.non_si
     }
 
-    /// Runs the §3 decomposition/resynthesis loop, firing
+    /// Runs the §3 decomposition/resynthesis loop from this stage's
+    /// implementation (moved in, not resynthesized), firing
     /// [`FlowObserver::on_decompose_step`] per committed insertion.
     ///
     /// # Errors
@@ -591,6 +592,7 @@ impl Covers {
         self.ctx.start(Stage::Decompose, self.sg.name());
         let outcome = decompose_with_jobs(
             &self.sg,
+            self.mc,
             &self.ctx.config.flow.decompose,
             self.ctx.config.synth_jobs(),
             self.ctx.observer.as_mut(),

@@ -3,9 +3,14 @@
 //! off, CSC repair failure, verification failure), the equivalence of the
 //! staged and one-shot drivers, observer delivery and the deprecated
 //! `run_flow` shim.
+//!
+//! The Decompose stage starts from the Covers stage's implementation; a
+//! parity test holds it to the standalone `decompose()`.
 
+use simap::core::decompose;
 use simap::sg::{Event, Signal, SignalId, SignalKind, StateGraph, StateGraphBuilder};
-use simap::{Batch, Error, Stage, Synthesis};
+use simap::stg::{benchmark_names, patterns};
+use simap::{Batch, Config, Error, Stage, Synthesis};
 
 /// a+ ; b+ ; b- ; a- over two *output* signals: the textbook CSC
 /// conflict, repairable by one internal state signal.
@@ -121,6 +126,53 @@ fn run_reports_refutation_compatibly() {
     // refutation is data (`verified == Some(false)`), not an error.
     let report = Synthesis::from_state_graph(non_persistent()).run().expect("runs");
     assert_eq!(report.verified, Some(false));
+}
+
+/// Asserts that the staged pipeline's Decompose stage, which starts from
+/// the Covers stage's implementation, reaches exactly the outcome of the
+/// standalone `decompose()`, which synthesizes its own: same steps,
+/// inserted signals, final covers and final state graph.
+fn assert_handoff_parity(synthesis: Synthesis, jobs: usize, context: &str) {
+    let config = Config::builder().verify(false).synth_jobs(jobs).build().expect("valid config");
+    let covers = synthesis
+        .config(&config)
+        .elaborate()
+        .and_then(|e| e.covers())
+        .unwrap_or_else(|e| panic!("{context}: covers failed: {e}"));
+    let standalone = decompose(covers.state_graph(), config.decompose_config())
+        .unwrap_or_else(|e| panic!("{context}: standalone decompose failed: {e}"));
+    let staged = covers.decompose().unwrap_or_else(|e| panic!("{context}: staged: {e}"));
+    assert_eq!(format!("{:?}", staged.steps()), format!("{:?}", standalone.steps), "{context}");
+    assert_eq!(staged.inserted(), standalone.inserted.as_slice(), "{context}");
+    assert_eq!(format!("{:?}", staged.mc()), format!("{:?}", standalone.mc), "{context}");
+    let (a, b) = (staged.state_graph(), &standalone.sg);
+    assert_eq!(a.signals(), b.signals(), "{context}");
+    assert_eq!((a.state_count(), a.initial()), (b.state_count(), b.initial()), "{context}");
+    for s in a.states() {
+        assert_eq!((a.code(s), a.succ(s)), (b.code(s), b.succ(s)), "{context}: state {}", s.0);
+    }
+}
+
+/// Hand-off parity on every embedded benchmark and a generated corpus
+/// sample, at one and four synthesis jobs. Debug builds skip graphs above
+/// 400 states; the release run covers the whole suite.
+#[test]
+fn staged_decompose_matches_standalone() {
+    for jobs in [1, 4] {
+        for &name in benchmark_names() {
+            if cfg!(debug_assertions) {
+                let elaborated = Synthesis::from_benchmark(name).elaborate().expect("elaborates");
+                if elaborated.state_graph().state_count() > 400 {
+                    continue;
+                }
+            }
+            assert_handoff_parity(Synthesis::from_benchmark(name), jobs, name);
+        }
+        for stg in patterns::corpus(7, 24) {
+            let name = stg.name().to_string();
+            assert_handoff_parity(Synthesis::from_stg(stg), jobs, &name);
+        }
+    }
 }
 
 #[test]

@@ -53,17 +53,24 @@ impl Drop for ScratchDir {
 /// peak bounded by that budget, and the graph matches Packed's
 /// numbering state for state. Release-only: a million-state build under
 /// debug assertions takes minutes, and CI's conformance job runs
-/// release.
+/// release. It spills into its own scratch directory: its long-lived run
+/// directory must not show up in [`default_spill_placement_cleans_up`]'s
+/// leak check of the system temp dir, which runs concurrently.
 #[test]
 fn million_state_net_elaborates_under_a_bounded_budget() {
     if cfg!(debug_assertions) {
         eprintln!("skipped: release-mode acceptance test");
         return;
     }
+    let scratch = ScratchDir::new("million");
     let parts: Vec<_> = (0..10).map(|_| patterns::sequencer(2, None)).collect();
     let grid = patterns::parallel("grid", &parts);
     let budget = 256 * 1024 * 1024;
-    let config = ReachConfig { max_states: 2_000_000, ..spill_config(budget) };
+    let config = ReachConfig {
+        max_states: 2_000_000,
+        spill_dir: Some(scratch.0.clone()),
+        ..spill_config(budget)
+    };
     let (spilled, stats) = elaborate_with_stats(&grid, &config).expect("spill elaborates");
     assert_eq!(spilled.state_count(), 4usize.pow(10));
     assert!(
@@ -200,7 +207,11 @@ fn sigkilled_check_resumes_byte_identically() {
     }
     assert!(interrupted, "could not SIGKILL `simap check` mid-run in 5 attempts");
 
-    let config = ReachConfig { resume: Some(ckpt_dir.clone()), ..kill_check_config() };
+    let config = ReachConfig {
+        resume: Some(ckpt_dir.clone()),
+        spill_dir: Some(scratch.0.clone()),
+        ..kill_check_config()
+    };
     let (resumed, stats) = elaborate_with_stats(&stg, &config).expect("resume elaborates");
     let counters = stats.spill.expect("spill counters");
     assert!(counters.resume_level >= 1, "resume must continue a checkpoint: {counters:?}");
@@ -246,7 +257,11 @@ fn corrupted_or_mismatched_checkpoints_are_refused_then_recover() {
     }
     assert!(interrupted, "could not SIGKILL `simap check` mid-run in 5 attempts");
 
-    let resume = ReachConfig { resume: Some(ckpt_dir.clone()), ..kill_check_config() };
+    let resume = ReachConfig {
+        resume: Some(ckpt_dir.clone()),
+        spill_dir: Some(scratch.0.clone()),
+        ..kill_check_config()
+    };
     let manifest = ckpt_dir.join("MANIFEST");
     let pristine = std::fs::read(&manifest).expect("manifest readable");
 
@@ -286,7 +301,9 @@ fn corrupted_or_mismatched_checkpoints_are_refused_then_recover() {
 }
 
 /// The default placement (no `spill_dir`) works and reports counters;
-/// nothing of ours is left in the system temp dir afterwards.
+/// nothing of ours is left in the system temp dir afterwards. Every other
+/// in-process spill run in this binary uses its own `spill_dir`, so a
+/// `simap-spill-<pid>-*` entry in temp can only be this run's leak.
 #[test]
 fn default_spill_placement_cleans_up() {
     let stg = benchmark("mr0").expect("known benchmark");
