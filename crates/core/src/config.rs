@@ -65,15 +65,6 @@ impl Config {
         ConfigBuilder { config: self.clone() }
     }
 
-    /// Adopts a classic [`FlowConfig`] wholesale (compatibility seam for
-    /// code migrating from the PR 1 per-stage setters). The remaining
-    /// knobs (OR-tree limit, CSC-repair budget, reachability limits) keep
-    /// their defaults. Not validated: the historical entry points accepted
-    /// any [`FlowConfig`].
-    pub fn from_flow_config(flow: &FlowConfig) -> Self {
-        Config { flow: flow.clone(), ..Config::default() }
-    }
-
     /// Gate complexity target: every cover must fit this many literals.
     pub fn literal_limit(&self) -> usize {
         self.flow.decompose.literal_limit
@@ -341,8 +332,9 @@ impl ConfigBuilder {
 
     /// Commits a durable checkpoint of the spill exploration every
     /// `levels` BFS levels (0 = off, the default; shorthand for
-    /// [`Self::reach_config`]; requires [`Self::reach_checkpoint_dir`];
-    /// ignored by the in-memory strategies).
+    /// [`Self::reach_config`]; requires [`Self::reach_checkpoint_dir`]
+    /// and the spill strategy: [`ConfigBuilder::build`] refuses it on
+    /// any other).
     pub fn reach_checkpoint_every(mut self, levels: usize) -> Self {
         self.config.reach.checkpoint_every = levels;
         self
@@ -359,8 +351,9 @@ impl ConfigBuilder {
 
     /// Resumes a spill exploration from the last committed checkpoint in
     /// `dir` instead of starting at the initial marking (shorthand for
-    /// [`Self::reach_config`]; the checkpoint's net and configuration
-    /// digests must match or elaboration refuses).
+    /// [`Self::reach_config`]; requires the spill strategy; the
+    /// checkpoint's net and configuration digests must match or
+    /// elaboration refuses).
     pub fn reach_resume(mut self, dir: Option<std::path::PathBuf>) -> Self {
         self.config.reach.resume = dir;
         self
@@ -386,8 +379,9 @@ impl ConfigBuilder {
     ///
     /// # Errors
     /// [`Error::InvalidConfig`] naming the first offending knob: literal
-    /// limit below 2, OR-tree limit below 2, zero candidate budget, or a
-    /// zero state cap in reachability / verification.
+    /// limit below 2, OR-tree limit below 2, zero candidate budget, a
+    /// zero state cap in reachability / verification, or checkpoint
+    /// settings the reachability strategy cannot honour.
     pub fn build(self) -> Result<Config, Error> {
         let c = &self.config;
         let fail = |what: &str| Err(Error::InvalidConfig { message: what.to_string() });
@@ -418,8 +412,8 @@ impl ConfigBuilder {
         if c.reach.shards == 0 {
             return fail("reachability shards must be at least 1");
         }
-        if c.reach.checkpoint_every > 0 && c.reach.checkpoint_dir.is_none() {
-            return fail("reach_checkpoint_every requires reach_checkpoint_dir");
+        if let Some(detail) = c.reach.checkpoint_conflict() {
+            return fail(&format!("reachability {detail}"));
         }
         if c.cache_capacity == Some(0) {
             return fail("cache_capacity must be at least 1 (omit it for an unbounded cache)");
@@ -456,7 +450,7 @@ mod tests {
             .max_insertions(5)
             .verify_max_states(1234)
             .reach_max_states(5678)
-            .reach_strategy(ReachStrategy::Explicit)
+            .reach_strategy(ReachStrategy::Spill)
             .reach_jobs(4)
             .reach_materialize_limit(4321)
             .reach_memory_budget(9 * 1024 * 1024)
@@ -477,7 +471,7 @@ mod tests {
         assert_eq!(config.max_insertions(), 5);
         assert_eq!(config.verify_config().max_states, 1234);
         assert_eq!(config.reach_config().max_states, 5678);
-        assert_eq!(config.reach_config().strategy, ReachStrategy::Explicit);
+        assert_eq!(config.reach_config().strategy, ReachStrategy::Spill);
         assert_eq!(config.reach_config().jobs, 4);
         assert_eq!(config.reach_config().materialize_limit, 4321);
         assert_eq!(config.reach_config().memory_budget, 9 * 1024 * 1024);
@@ -511,6 +505,10 @@ mod tests {
             Config::builder().reach_memory_budget(0),
             Config::builder().reach_shards(0),
             Config::builder().reach_checkpoint_every(4),
+            Config::builder()
+                .reach_checkpoint_every(4)
+                .reach_checkpoint_dir(Some(std::path::PathBuf::from("/tmp/simap-ckpt"))),
+            Config::builder().reach_resume(Some(std::path::PathBuf::from("/tmp/simap-ckpt"))),
             Config::builder().cache_capacity(0),
             Config::builder().synth_jobs(0),
         ] {
@@ -542,7 +540,9 @@ mod tests {
             Config::builder().reach_strategy(ReachStrategy::Symbolic).build().unwrap(),
             Config::builder().reach_max_states(9999).build().unwrap(),
             Config::builder().reach_jobs(4).build().unwrap(),
+            Config::builder().reach_strategy(ReachStrategy::Spill).build().unwrap(),
             Config::builder()
+                .reach_strategy(ReachStrategy::Spill)
                 .reach_checkpoint_every(8)
                 .reach_checkpoint_dir(Some(std::path::PathBuf::from("/tmp/simap-ckpt")))
                 .build()
@@ -554,14 +554,5 @@ mod tests {
             assert!(!seen.contains(&digest), "digest collision for {variant:?}");
             seen.push(digest);
         }
-    }
-
-    #[test]
-    fn from_flow_config_preserves_flow_knobs() {
-        let mut flow = FlowConfig::with_limit(3);
-        flow.repair_csc = true;
-        let config = Config::from_flow_config(&flow);
-        assert_eq!(config.literal_limit(), 3);
-        assert!(config.repair_csc());
     }
 }

@@ -150,10 +150,9 @@
 //!
 //! Configuration spread across per-stage setters
 //! (`Synthesis::literal_limit`, `Batch::verify`, …) was superseded in 0.3
-//! by [`Config`]/[`Engine`]; the setters remain available as
-//! `#[deprecated]` shims with unchanged behavior for at least one minor
-//! release before removal, as does the flow-level free function
-//! [`flow::run_flow`] (deprecated in 0.2). Algorithm primitives
+//! by [`Config`]/[`Engine`], and the flow-level free function `run_flow`
+//! was deprecated in 0.2. Both kept `#[deprecated]` shims for well past
+//! the promised minor release; the shims are now removed. Algorithm primitives
 //! ([`mc::synthesize_mc`], [`csc::repair_csc`],
 //! [`insertion::compute_insertion`], [`flow::build_circuit`], …) are the
 //! stable substrate the pipeline itself is built on and are **not**
@@ -185,8 +184,6 @@ pub use decompose::{
 pub use digest::{fnv1a64, Fnv64};
 pub use engine::{CacheStats, Engine};
 pub use error::{Error, Stage};
-#[allow(deprecated)] // the shim stays reachable from its historical path
-pub use flow::run_flow;
 pub use flow::{
     build_circuit, build_circuit_with_or_limit, build_decomposed_circuit, non_si_cost, si_cost,
     FlowConfig, FlowReport,

@@ -41,7 +41,7 @@ use super::arena::{read_words_at, write_words_at};
 use super::frontier::{EdgeLog, SpillFrontier};
 use super::shard::Shard;
 use crate::petri::{Stg, TransitionId};
-use crate::reach::{ReachConfig, ReachError};
+use crate::reach::{mix_word, BfsTree, ReachConfig, ReachError, HASH_SEED};
 use std::fs::File;
 use std::path::{Path, PathBuf};
 
@@ -85,25 +85,17 @@ pub(crate) fn config_digest(config: &ReachConfig, nshards: usize) -> u64 {
     fnv1a64(canon.as_bytes())
 }
 
-/// Streaming word checksum with the same mixing as
-/// [`super::shard::hash_words`].
+/// Streaming word checksum: [`crate::reach::hash_words`] over
+/// everything passed to `update`.
 struct WordCheck(u64);
 
 impl WordCheck {
     fn new() -> WordCheck {
-        WordCheck(0x9e37_79b9_7f4a_7c15)
+        WordCheck(HASH_SEED)
     }
 
     fn update(&mut self, words: &[u64]) {
-        let mut h = self.0;
-        for &w in words {
-            h ^= w;
-            h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            h ^= h >> 27;
-            h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-            h ^= h >> 31;
-        }
-        self.0 = h;
+        self.0 = words.iter().fold(self.0, |h, &w| mix_word(h, w));
     }
 
     fn finish(self) -> u64 {
@@ -136,6 +128,8 @@ pub(crate) struct CheckpointCtx {
     pub(crate) dir: PathBuf,
     pub(crate) config_digest: u64,
     pub(crate) net_digest: u64,
+    /// Cadence in BFS levels.
+    pub(crate) every: u64,
     /// Snapshots committed by this run.
     pub(crate) written: u32,
     /// Total bytes of committed checkpoint artifacts and manifests.
@@ -524,18 +518,9 @@ impl ArtifactReader {
     }
 }
 
-/// The in-memory exploration state [`restore`] hands back to the engine
-/// (the file-backed components are refilled in place).
-pub(crate) struct RestoredState {
-    pub(crate) count: usize,
-    pub(crate) src: usize,
-    pub(crate) parent: Vec<Option<(usize, TransitionId)>>,
-    pub(crate) edge_off: Vec<usize>,
-    pub(crate) fired: Vec<bool>,
-}
-
 /// Replays every artifact of the manifest's generation into freshly
-/// constructed engine components, via their ordinary `push` paths.
+/// constructed store components, via their ordinary `push` paths, and
+/// hands back the BFS tree.
 pub(crate) fn restore(
     dir: &Path,
     m: &LoadedManifest,
@@ -543,7 +528,7 @@ pub(crate) fn restore(
     shards: &mut [Shard],
     frontier: &mut SpillFrontier,
     edges: &mut EdgeLog,
-) -> Result<RestoredState, ReachError> {
+) -> Result<BfsTree, ReachError> {
     let gen_dir = dir.join(format!("gen-{}", m.level));
     let nshards = m.nshards;
     let name = |i: usize| artifact_name(i, nshards);
@@ -642,7 +627,7 @@ pub(crate) fn restore(
     while r.remaining() > 0 {
         r.read(&mut frec)?;
         frontier
-            .push_record(&frec)
+            .push(&frec[..m.stride], &frec[m.stride..])
             .map_err(|e| ck_err(format!("cannot replay `{rel}` into the frontier: {e}")))?;
     }
     r.verify()?;
@@ -661,7 +646,7 @@ pub(crate) fn restore(
     }
     r.verify()?;
 
-    Ok(RestoredState { count: m.count, src: m.src, parent, edge_off, fired })
+    Ok(BfsTree { parent, edge_off, fired, safe: m.safe })
 }
 
 /// Removes the managed artifacts (manifest + generations) from a

@@ -95,17 +95,6 @@ impl SpillFrontier {
         Ok(())
     }
 
-    /// Appends one already-concatenated record — the checkpoint-restore
-    /// twin of [`SpillFrontier::push`].
-    pub(crate) fn push_record(&mut self, record: &[u64]) -> std::io::Result<()> {
-        debug_assert_eq!(record.len(), self.rec_words);
-        self.write_buf.extend_from_slice(record);
-        if self.write_buf.len() >= self.write_cap_words {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
     /// Streams the sealed-but-unread next level (the write side: run-file
     /// part first, then the memory tail) through `f`, in record order.
     /// Only meaningful at a level boundary — which is the only moment a

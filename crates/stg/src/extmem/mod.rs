@@ -1,11 +1,12 @@
 //! External-memory sharded reachability —
 //! [`ReachStrategy::Spill`](crate::reach::ReachStrategy::Spill).
 //!
-//! The spill engine runs the *same* token game as the packed engine
-//! (same mask-compiled transition net, same narrow-width speculation,
-//! same BFS discovery order, same error semantics) but bounds peak
-//! resident memory by [`ReachConfig::memory_budget`] instead of by the
-//! state count:
+//! There is one BFS driver (`crate::reach::Explorer`): it owns the
+//! mask-compiled net, the narrow-width speculation, the BFS discovery
+//! order, the enabled-set derivation, the `jobs` fan-out with its
+//! ordered merge and every error. This module supplies the *paged*
+//! state store it can run over, which bounds peak resident memory by
+//! [`ReachConfig::memory_budget`] instead of by the state count:
 //!
 //! * **Paged state arena** (`arena`): packed markings live in
 //!   fixed-stride pages; pages past the resident budget are written
@@ -14,7 +15,7 @@
 //!   a shard; each shard owns its intern table and arena segment.
 //!   Global state ids are assigned in BFS discovery order at intern
 //!   time, so the merged graph's numbering — and therefore its bytes —
-//!   are identical to the packed engine's.
+//!   are identical to the in-RAM store's.
 //! * **Spill frontier and edge log** (`frontier`): the
 //!   level-synchronized BFS frontier and the fired-edge log keep
 //!   bounded in-memory buffers and overflow to sequential run files.
@@ -30,14 +31,12 @@
 //!   the last snapshot via [`ReachConfig::resume`], producing a graph
 //!   byte-identical to an uninterrupted run.
 //!
-//! With [`ReachConfig::jobs`] > 1 frontier expansion fans out: each
-//! level is read in bounded batches, the fire/hash work runs on scoped
-//! worker threads, and successors are merged in deterministic (source,
-//! transition) order — the exact scheme the packed engine uses — so the
-//! graph, the errors and every checkpoint stay byte-identical at any
-//! fan-out. Checkpoints are only taken at level boundaries, which the
-//! batched workers never straddle, so a snapshot taken mid-parallel-run
-//! is level-consistent by construction.
+//! Checkpointing is the paged store's capability: the driver reports
+//! every completed level, and the store snapshots at the configured
+//! cadence. Level boundaries are the one moment the frontier's read
+//! side is consumed and the driver's parallel batches are merged, so a
+//! snapshot is level-consistent at any [`ReachConfig::jobs`]. Under
+//! fan-out the store reads each level in bounded batches.
 //!
 //! What stays in memory regardless of the budget: the per-shard intern
 //! tables and local→global maps (16–24 bytes per distinct state) and
@@ -53,15 +52,17 @@ mod frontier;
 mod manifest;
 mod shard;
 
-use crate::petri::{Stg, TransitionId};
+use crate::petri::Stg;
 use crate::reach::{
-    full_width, narrow_width, Abort, Exploration, FireFault, PackedNet, ReachConfig, ReachError,
+    explore_widening, narrow_width, Abort, Arcs, BfsTree, Exploration, PackedNet, ReachConfig,
+    ReachError, StateStore,
 };
 use checkpoint::{CheckpointCtx, LoadedManifest, Snapshot};
 use frontier::{EdgeLog, SpillFrontier};
 use manifest::SpillManifest;
-use shard::{hash_words, shard_of, Interned, Shard};
+use shard::{shard_of, Interned, Shard};
 use simap_sg::{Event, SignalId, StateId};
+use std::path::PathBuf;
 use std::rc::Rc;
 
 /// Disk and memory counters of one spill exploration, reported through
@@ -105,164 +106,69 @@ const MIN_BUDGET: usize = 4096;
 /// Shard-count ceiling (each shard pins up to two arena pages).
 const MAX_SHARDS: usize = 512;
 
-/// Runs the token game with the external-memory engine. Graphs — and
-/// errors — are byte-identical to [`crate::reach::explore_packed`] on
-/// every net both can elaborate.
+/// Runs the token game with the paged store. Graphs — and errors — are
+/// byte-identical to [`crate::reach::explore_packed`] on every net both
+/// can elaborate.
 pub(crate) fn explore_spill(stg: &Stg, config: &ReachConfig) -> Result<Exploration, ReachError> {
-    if config.checkpoint_every > 0 && config.checkpoint_dir.is_none() {
-        return Err(ReachError::Checkpoint {
-            detail: "ReachConfig::checkpoint_every is set but ReachConfig::checkpoint_dir is not"
-                .to_string(),
-        });
-    }
     let nshards = config.shards.clamp(1, MAX_SHARDS);
-    if let Some(dir) = &config.resume {
-        // Resume continues at the checkpoint's recorded field width. If
-        // the checkpointed narrow layout overflows *after* the resume
-        // point, redo the whole exploration cold at full width — the
-        // same restart an uninterrupted narrow run would have taken, so
-        // the output bytes cannot tell the difference.
-        let loaded = checkpoint::load_manifest(dir, stg, config, nshards)?;
-        return match explore_spill_at(stg, config, loaded.width, Some(&loaded)) {
-            Ok(exploration) => Ok(exploration),
-            Err(Abort::Error(e)) => Err(e),
-            Err(Abort::Widen) => {
-                match explore_spill_at(stg, config, full_width(stg, config.max_tokens), None) {
-                    Ok(exploration) => Ok(exploration),
-                    Err(Abort::Error(e)) => Err(e),
-                    Err(Abort::Widen) => unreachable!("full-width runs cannot ask to widen"),
-                }
-            }
-        };
-    }
-    // Same narrow-width speculation as the packed engine: restart once
-    // at full width if a field overflows. Both attempts explore in
-    // identical BFS order, so the restart is invisible in the output.
-    let narrow = narrow_width(stg);
-    let full = full_width(stg, config.max_tokens);
-    match explore_spill_at(stg, config, narrow.min(full), None) {
-        Err(Abort::Widen) => match explore_spill_at(stg, config, full, None) {
-            Ok(exploration) => Ok(exploration),
-            Err(Abort::Error(e)) => Err(e),
-            Err(Abort::Widen) => unreachable!("full-width runs cannot ask to widen"),
-        },
-        Ok(exploration) => Ok(exploration),
-        Err(Abort::Error(e)) => Err(e),
-    }
+    let loaded = match &config.resume {
+        Some(dir) => Some(checkpoint::load_manifest(dir, stg, config, nshards)?),
+        None => None,
+    };
+    // Resume continues at the checkpoint's recorded field width. If that
+    // narrow layout overflows *after* the resume point, the restart at
+    // full width runs cold — the same restart an uninterrupted narrow
+    // run would have taken, so the output bytes cannot tell.
+    let first = loaded.as_ref().map_or_else(|| narrow_width(stg), |m| m.width);
+    explore_widening(stg, config, first, |net, first_attempt| {
+        PagedStore::open(stg, config, net, loaded.as_ref().filter(|_| first_attempt))
+    })
 }
 
 fn io_abort(context: &str, e: std::io::Error) -> Abort {
     Abort::Error(ReachError::Spill { detail: format!("{context}: {e}") })
 }
 
-/// One expanded successor produced by a parallel batch worker: the
-/// batch-relative source record and the fired transition; the packed
-/// successor marking and its hash live at the same index of the chunk's
-/// `buf`/`hashes`.
-struct SpillChunk {
-    /// Packed successor markings, `stride` words each, aligned with
-    /// `succs`.
-    buf: Vec<u64>,
-    /// Precomputed [`hash_words`] of each successor (hashing is the
-    /// workers' job; the merge only probes tables).
-    hashes: Vec<u64>,
-    /// (batch-relative source record, transition) in expansion order.
-    succs: Vec<(u32, TransitionId)>,
-    /// The first faulting firing in the chunk, if any: successors of
-    /// earlier (source, transition) pairs are all in `succs`.
-    fault: Option<(u32, FireFault)>,
-}
-
-/// Expands batch records `lo..hi` without touching shared mutable
-/// state; a pure function of the batch slice, safe to run on a scoped
-/// worker thread.
-fn expand_batch_chunk(
-    stg: &Stg,
-    net: &PackedNet,
-    batch: &[u64],
-    rec_words: usize,
-    stride: usize,
-    lo: usize,
-    hi: usize,
-) -> SpillChunk {
-    let mut out = SpillChunk {
-        buf: Vec::with_capacity(stride * 16),
-        hashes: Vec::with_capacity(16),
-        succs: Vec::with_capacity(16),
-        fault: None,
-    };
-    let mut next = vec![0u64; stride];
-    'recs: for b in lo..hi {
-        let rec = &batch[b * rec_words..(b + 1) * rec_words];
-        let (cur, cur_mask) = rec.split_at(stride);
-        for (w, &bits) in cur_mask.iter().enumerate() {
-            let mut bits = bits;
-            while bits != 0 {
-                let t = TransitionId(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-                if let Some(f) = net.fire(stg, cur, t, &mut next) {
-                    // Everything after this firing would never be
-                    // reached sequentially; record the fault position
-                    // and stop.
-                    out.fault = Some((b as u32, f));
-                    break 'recs;
-                }
-                out.buf.extend_from_slice(&next);
-                out.hashes.push(hash_words(&next));
-                out.succs.push((b as u32, t));
-            }
-        }
-    }
-    out
-}
-
-/// The spill BFS state: sharded arenas, spill frontier, edge log, and
-/// the in-memory outputs — plus everything a checkpoint persists.
-struct SpillExplorer<'a> {
-    stg: &'a Stg,
-    net: PackedNet,
+/// The paged state store: hash-partitioned shards (intern table plus
+/// file-backed marking arena each), the spill frontier of pending
+/// `[marking | mask]` records and the edge log — everything a
+/// checkpoint persists, which makes checkpointing this store's
+/// capability.
+pub(crate) struct PagedStore {
     stride: usize,
     t_words: usize,
-    /// `stride + t_words`: one frontier record.
-    rec_words: usize,
-    nshards: usize,
-    max_states: usize,
-    max_tokens: u8,
     width: u32,
     budget: usize,
     shards: Vec<Shard>,
+    /// The shard the last [`StateStore::intern`] miss reserved in.
+    reserved: usize,
     frontier: SpillFrontier,
     edges: EdgeLog,
-    /// Event code per transition: `(signal << 1) | rising` — decoded
-    /// back when the edge log is replayed.
-    events: Vec<u64>,
-    parent: Vec<Option<(usize, TransitionId)>>,
-    edge_off: Vec<usize>,
-    fired: Vec<bool>,
-    /// Distinct markings interned so far.
-    count: usize,
-    /// Sources fully expanded so far (the BFS cursor).
-    src: usize,
-    safe: bool,
-    /// Parallel batch capacity in records, and the accounted footprint
-    /// of the batch buffer once one was allocated.
+    /// Parallel batch buffer, its capacity in records, and its
+    /// accounted footprint once a batch was read.
+    batch: Vec<u64>,
     batch_cap: usize,
     batch_bytes: u64,
     manifest: Rc<SpillManifest>,
-    succ_mask: Vec<u64>,
+    /// The checkpoint stream (`None`: checkpointing is off).
+    pub(crate) ckpt: Option<CheckpointCtx>,
+    /// BFS levels completed, counted from the resume level.
+    level: u64,
+    resume_level: u64,
+    /// The checkpoint this run resumes from, consumed on success.
+    resume_dir: Option<PathBuf>,
 }
 
-impl<'a> SpillExplorer<'a> {
-    fn new(
-        stg: &'a Stg,
+impl PagedStore {
+    /// A store for `net`'s geometry, restored from `resume` when given
+    /// (handing back the restored BFS tree as well).
+    pub(crate) fn open(
+        stg: &Stg,
         config: &ReachConfig,
-        width: u32,
+        net: &PackedNet,
         resume: Option<&LoadedManifest>,
-    ) -> Result<SpillExplorer<'a>, Abort> {
-        let net = PackedNet::compile(stg, config.max_tokens, width);
-        let stride = net.words;
-        let t_words = net.t_words;
-        let n_transitions = stg.transition_count();
+    ) -> Result<(PagedStore, Option<BfsTree>), Abort> {
+        let (stride, t_words) = (net.words, net.t_words);
         if let Some(m) = resume {
             if m.stride != stride || m.t_words != t_words {
                 return Err(Abort::Error(ReachError::Checkpoint {
@@ -284,335 +190,148 @@ impl<'a> SpillExplorer<'a> {
         let frontier_share = budget / 4;
         let edge_share = budget - arena_share - frontier_share;
         let rec_words = stride + t_words;
-        let jobs = config.jobs.max(1);
-        let batch_cap = (frontier_share / 2 / 8 / rec_words).clamp(2 * jobs, 8192);
+        let batch_cap = (frontier_share / 2 / 8 / rec_words).clamp(2 * config.jobs.max(1), 8192);
 
         let manifest = Rc::new(SpillManifest::create(config.spill_dir.as_deref())?);
         let shards: Vec<Shard> = (0..nshards)
             .map(|i| {
-                Shard::new(
-                    stride,
-                    arena_share / nshards,
-                    format!("shard-{i}.arena"),
-                    Rc::clone(&manifest),
-                )
+                let name = format!("shard-{i}.arena");
+                Shard::new(stride, arena_share / nshards, name, Rc::clone(&manifest))
             })
             .collect();
-        let frontier = SpillFrontier::new(rec_words, frontier_share, Rc::clone(&manifest));
-        let edges = EdgeLog::new(edge_share, Rc::clone(&manifest));
-
-        let events: Vec<u64> = stg
-            .transitions()
-            .iter()
-            .map(|t| ((t.event.signal.0 as u64) << 1) | u64::from(t.event.rising))
-            .collect();
-
-        let mut this = SpillExplorer {
-            stg,
-            net,
+        let ckpt = match &config.checkpoint_dir {
+            Some(dir) if config.checkpoint_every > 0 => Some(CheckpointCtx {
+                dir: dir.clone(),
+                config_digest: checkpoint::config_digest(config, nshards),
+                net_digest: checkpoint::net_digest(stg),
+                every: config.checkpoint_every as u64,
+                written: 0,
+                bytes: 0,
+            }),
+            _ => None,
+        };
+        let resume_level = resume.map_or(0, |m| m.level);
+        let mut store = PagedStore {
             stride,
             t_words,
-            rec_words,
-            nshards,
-            max_states: config.max_states,
-            max_tokens: config.max_tokens,
-            width,
+            width: net.width,
             budget,
             shards,
-            frontier,
-            edges,
-            events,
-            parent: Vec::new(),
-            edge_off: Vec::new(),
-            fired: vec![false; n_transitions],
-            count: 0,
-            src: 0,
-            safe: true,
+            reserved: 0,
+            frontier: SpillFrontier::new(rec_words, frontier_share, Rc::clone(&manifest)),
+            edges: EdgeLog::new(edge_share, Rc::clone(&manifest)),
+            batch: Vec::new(),
             batch_cap,
             batch_bytes: 0,
             manifest,
-            succ_mask: vec![0u64; t_words],
+            ckpt,
+            level: resume_level,
+            resume_level,
+            resume_dir: config.resume.clone(),
         };
-
-        match resume {
-            Some(m) => {
-                let dir = config.resume.as_deref().expect("resume manifest implies a resume dir");
-                let restored = checkpoint::restore(
-                    dir,
-                    m,
-                    n_transitions,
-                    &mut this.shards,
-                    &mut this.frontier,
-                    &mut this.edges,
-                )
-                .map_err(Abort::Error)?;
-                this.count = restored.count;
-                this.src = restored.src;
-                this.parent = restored.parent;
-                this.edge_off = restored.edge_off;
-                this.fired = restored.fired;
-                this.safe = m.safe;
-            }
-            None => {
-                let mut initial = vec![0u64; stride];
-                this.net.pack_into(stg.initial_marking(), &mut initial);
-                this.safe = this.net.multi.iter().zip(&initial).all(|(&m, &w)| w & m == 0);
-
-                // The initial state's enabled set is the one full
-                // per-transition scan; every other state derives its set
-                // incrementally from its BFS parent's (carried through
-                // the frontier records).
-                let mut mask0 = vec![0u64; t_words];
-                for t in 0..n_transitions {
-                    if this.net.enabled(&initial, TransitionId(t)) {
-                        mask0[t / 64] |= 1u64 << (t % 64);
-                    }
-                }
-
-                let h0 = hash_words(&initial);
-                match this.shards[shard_of(h0, nshards)]
-                    .intern(&initial, h0)
-                    .map_err(|e| io_abort("intern", e))?
-                {
-                    Interned::New => this.shards[shard_of(h0, nshards)]
-                        .commit(&initial, 0)
-                        .map_err(|e| io_abort("arena append", e))?,
-                    Interned::Existing(_) => {
-                        unreachable!("empty shard cannot know the initial marking")
-                    }
-                }
-                this.frontier.push(&initial, &mask0).map_err(|e| io_abort("frontier write", e))?;
-                this.count = 1;
-                this.parent.push(None);
-            }
-        }
-        Ok(this)
+        let tree = match (resume, &config.resume) {
+            (Some(m), Some(dir)) => Some(checkpoint::restore(
+                dir,
+                m,
+                stg.transition_count(),
+                &mut store.shards,
+                &mut store.frontier,
+                &mut store.edges,
+            )?),
+            _ => None,
+        };
+        Ok((store, tree))
     }
+}
 
-    fn fault_abort(&self, fault: FireFault, src: usize) -> Abort {
-        match fault {
-            FireFault::Unbounded(p) => Abort::Error(ReachError::Unbounded {
-                place: self.stg.places()[p.0].name.clone(),
-                max_tokens: self.max_tokens,
-                visited: src,
-            }),
-            FireFault::Widen => Abort::Widen,
-        }
-    }
-
-    /// Dedups one fired successor through its shard: commit + frontier
-    /// push on a miss (deriving the enabled set from the source's mask),
-    /// edge push always. Identical across the sequential and
-    /// merged-parallel paths — this is what makes `jobs` byte-stable.
-    fn absorb(
-        &mut self,
-        src: usize,
-        t: TransitionId,
-        cur_mask: &[u64],
-        next: &[u64],
-        h: u64,
-    ) -> Result<(), Abort> {
-        let sh = shard_of(h, self.nshards);
-        let dst = match self.shards[sh].intern(next, h).map_err(|e| io_abort("intern", e))? {
-            Interned::Existing(g) => g,
+impl StateStore for PagedStore {
+    fn intern(&mut self, marking: &[u64], h: u64) -> Result<Option<usize>, Abort> {
+        let sh = shard_of(h, self.shards.len());
+        match self.shards[sh].intern(marking, h).map_err(|e| io_abort("intern", e))? {
+            Interned::Existing(g) => Ok(Some(g as usize)),
             Interned::New => {
-                let candidate = self.count;
-                if candidate >= self.max_states {
-                    return Err(Abort::Error(ReachError::StateLimit {
-                        limit: self.max_states,
-                        visited: src,
-                    }));
-                }
-                if self.safe && self.net.multi.iter().zip(next).any(|(&m, &v)| v & m != 0) {
-                    self.safe = false;
-                }
-                // Incremental enabled set, exactly as packed: carry over
-                // what `t` cannot affect, recheck its neighborhood.
-                let keep = &self.net.keep[t.0 * self.t_words..(t.0 + 1) * self.t_words];
-                for (s, (&e, &k)) in self.succ_mask.iter_mut().zip(cur_mask.iter().zip(keep)) {
-                    *s = e & k;
-                }
-                let (rs, re) = self.net.recheck_range[t.0];
-                for &u in &self.net.recheck[rs as usize..re as usize] {
-                    if self.net.enabled(next, TransitionId(u as usize)) {
-                        self.succ_mask[u as usize / 64] |= 1u64 << (u % 64);
-                    }
-                }
-                self.shards[sh]
-                    .commit(next, candidate as u64)
-                    .map_err(|e| io_abort("arena append", e))?;
-                self.parent.push(Some((src, t)));
-                self.frontier
-                    .push(next, &self.succ_mask)
-                    .map_err(|e| io_abort("frontier write", e))?;
-                self.count += 1;
-                candidate as u64
+                self.reserved = sh;
+                Ok(None)
             }
+        }
+    }
+
+    fn commit(&mut self, marking: &[u64], mask: &[u64], id: usize) -> Result<(), Abort> {
+        self.shards[self.reserved]
+            .commit(marking, id as u64)
+            .map_err(|e| io_abort("arena append", e))?;
+        self.frontier.push(marking, mask).map_err(|e| io_abort("frontier write", e))
+    }
+
+    fn push_edge(&mut self, event: Event, dst: usize) -> Result<(), Abort> {
+        // Event code `(signal << 1) | rising`, decoded again on replay.
+        let code = ((event.signal.0 as u64) << 1) | u64::from(event.rising);
+        self.edges.push(code, dst as u64).map_err(|e| io_abort("edge log write", e))
+    }
+
+    fn edges(&self) -> usize {
+        self.edges.len()
+    }
+
+    fn begin_level(&mut self) -> Result<usize, Abort> {
+        Ok(self.frontier.begin_level() as usize)
+    }
+
+    fn next_record(&mut self, out: &mut [u64]) -> Result<bool, Abort> {
+        self.frontier.next(out).map_err(|e| io_abort("frontier read", e))
+    }
+
+    fn next_batch<R>(&mut self, f: impl FnOnce(&[u64]) -> R) -> Result<Option<R>, Abort> {
+        let rec_words = self.stride + self.t_words;
+        if self.batch.capacity() == 0 {
+            self.batch = Vec::with_capacity(self.batch_cap * rec_words);
+            self.batch_bytes = (self.batch_cap * rec_words * 8) as u64;
+        }
+        self.batch.clear();
+        let mut rec = vec![0u64; rec_words];
+        while self.batch.len() < self.batch_cap * rec_words && self.next_record(&mut rec)? {
+            self.batch.extend_from_slice(&rec);
+        }
+        Ok((!self.batch.is_empty()).then(|| f(&self.batch)))
+    }
+
+    /// Commits a checkpoint when the level count hits the cadence.
+    fn end_level(&mut self, tree: &BfsTree) -> Result<(), Abort> {
+        self.level += 1;
+        let Some(ctx) = self.ckpt.as_mut().filter(|c| self.level.is_multiple_of(c.every)) else {
+            return Ok(());
         };
-        self.edges.push(self.events[t.0], dst).map_err(|e| io_abort("edge log write", e))?;
-        Ok(())
-    }
-
-    /// Expands one frontier record (the record `self.src` indexes),
-    /// firing every enabled transition in ascending order.
-    fn expand_record(&mut self, rec: &[u64], next: &mut [u64]) -> Result<(), Abort> {
-        let (cur, cur_mask) = rec.split_at(self.stride);
-        self.edge_off.push(self.edges.len());
-        let src = self.src;
-        for w in 0..self.t_words {
-            let mut bits = cur_mask[w];
-            while bits != 0 {
-                let t = TransitionId(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-                self.fired[t.0] = true;
-                if let Some(f) = self.net.fire(self.stg, cur, t, next) {
-                    return Err(self.fault_abort(f, src));
-                }
-                let h = hash_words(next);
-                self.absorb(src, t, cur_mask, next, h)?;
-            }
-        }
-        self.src = src + 1;
-        Ok(())
-    }
-
-    /// Expands the sealed level record-by-record, streaming straight
-    /// from the frontier — the `jobs == 1` path, byte-identical to (and
-    /// unchanged from) the pre-parallel engine.
-    fn expand_level_sequential(&mut self, rec: &mut [u64], next: &mut [u64]) -> Result<(), Abort> {
-        while self.frontier.next(rec).map_err(|e| io_abort("frontier read", e))? {
-            self.expand_record(rec, next)?;
-        }
-        Ok(())
-    }
-
-    /// Expands the sealed level in bounded batches fanned out over
-    /// `jobs` scoped workers, merging successors in deterministic
-    /// (source, transition) order.
-    fn expand_level_parallel(
-        &mut self,
-        jobs: usize,
-        rec: &mut [u64],
-        next: &mut [u64],
-    ) -> Result<(), Abort> {
-        let rec_words = self.rec_words;
-        let stride = self.stride;
-        let mut batch: Vec<u64> = Vec::with_capacity(self.batch_cap * rec_words);
-        self.batch_bytes = self.batch_bytes.max((self.batch_cap * rec_words * 8) as u64);
-        loop {
-            batch.clear();
-            while batch.len() < self.batch_cap * rec_words {
-                if !self.frontier.next(rec).map_err(|e| io_abort("frontier read", e))? {
-                    break;
-                }
-                batch.extend_from_slice(rec);
-            }
-            let n = batch.len() / rec_words;
-            if n == 0 {
-                return Ok(());
-            }
-            if n < 2 * jobs {
-                // Too small to be worth a fan-out: finish the tail on
-                // the sequential path (same bytes either way).
-                for b in 0..n {
-                    let owned: Vec<u64> = batch[b * rec_words..(b + 1) * rec_words].to_vec();
-                    self.expand_record(&owned, next)?;
-                }
-                continue;
-            }
-            let chunk_len = n.div_ceil(jobs);
-            let chunks: Vec<SpillChunk> = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for c in 0..jobs {
-                    let lo = c * chunk_len;
-                    let hi = ((c + 1) * chunk_len).min(n);
-                    if lo >= hi {
-                        break;
-                    }
-                    let stg = self.stg;
-                    let net = &self.net;
-                    let batch = &batch[..];
-                    handles.push(scope.spawn(move || {
-                        expand_batch_chunk(stg, net, batch, rec_words, stride, lo, hi)
-                    }));
-                }
-                handles.into_iter().map(|h| h.join().expect("spill worker panicked")).collect()
-            });
-            // Deterministic merge: chunks ascend over the batch, succs
-            // ascend within each chunk, so absorption order is exactly
-            // the sequential (source, transition) order.
-            let base = self.src;
-            for chunk in chunks {
-                for (i, &(rel, t)) in chunk.succs.iter().enumerate() {
-                    let s = base + rel as usize;
-                    self.fired[t.0] = true;
-                    // Keep the CSR offsets in lockstep: one entry per
-                    // source, including barren ones.
-                    while self.edge_off.len() <= s {
-                        self.edge_off.push(self.edges.len());
-                    }
-                    let cur_mask =
-                        &batch[rel as usize * rec_words + stride..(rel as usize + 1) * rec_words];
-                    self.absorb(
-                        s,
-                        t,
-                        cur_mask,
-                        &chunk.buf[i * stride..(i + 1) * stride],
-                        chunk.hashes[i],
-                    )?;
-                }
-                if let Some((rel, f)) = chunk.fault {
-                    return Err(self.fault_abort(f, base + rel as usize));
-                }
-            }
-            while self.edge_off.len() < base + n {
-                self.edge_off.push(self.edges.len());
-            }
-            self.src = base + n;
-        }
-    }
-
-    /// Atomically snapshots the full exploration state — only ever
-    /// called at a level boundary.
-    fn write_checkpoint(&self, ctx: &mut CheckpointCtx, level: u64) -> Result<(), Abort> {
         let snap = Snapshot {
-            level,
+            level: self.level,
             width: self.width,
-            count: self.count,
-            src: self.src,
-            safe: self.safe,
+            count: tree.parent.len(),
+            src: tree.edge_off.len(),
+            safe: tree.safe,
             stride: self.stride,
             t_words: self.t_words,
             shards: &self.shards,
             frontier: &self.frontier,
             edges: &self.edges,
-            parent: &self.parent,
-            edge_off: &self.edge_off,
-            fired: &self.fired,
+            parent: &tree.parent,
+            edge_off: &tree.edge_off,
+            fired: &tree.fired,
         };
-        checkpoint::write(ctx, &snap).map_err(Abort::Error)
+        Ok(checkpoint::write(ctx, &snap)?)
     }
 
-    /// Closes the CSR, replays the edge log and assembles the
-    /// [`Exploration`] plus counters.
-    fn finish(
-        mut self,
-        ckpt: Option<&CheckpointCtx>,
-        resume_level: u64,
-        config: &ReachConfig,
-    ) -> Result<Exploration, Abort> {
-        self.edge_off.push(self.edges.len());
-
+    /// Replays the edge log, assembles the counters, and — the
+    /// exploration having completed — removes its checkpoints.
+    fn finish(self) -> Result<(Arcs, Option<SpillCounters>), Abort> {
         let resident_peak = self.shards.iter().map(Shard::arena_peak_bytes).sum::<u64>()
             + self.frontier.peak_bytes()
             + self.edges.peak_bytes()
             + self.batch_bytes;
         let table_bytes = self.shards.iter().map(Shard::table_bytes).sum::<u64>();
-        let mut edge_arcs: Vec<(Event, StateId)> = Vec::with_capacity(self.edges.len());
+        let mut arcs: Arcs = Vec::with_capacity(self.edges.len());
         self.edges
             .replay(|code, dst| {
                 let event = Event { signal: SignalId((code >> 1) as usize), rising: code & 1 == 1 };
-                edge_arcs.push((event, StateId(dst as usize)));
+                arcs.push((event, StateId(dst as usize)));
             })
             .map_err(|e| io_abort("edge log read", e))?;
 
@@ -622,79 +341,29 @@ impl<'a> SpillExplorer<'a> {
             resident_peak,
             table_bytes,
             budget: self.budget as u64,
-            shards: self.nshards as u32,
-            checkpoints_written: ckpt.map_or(0, |c| c.written),
-            checkpoint_bytes: ckpt.map_or(0, |c| c.bytes),
-            resume_level,
+            shards: self.shards.len() as u32,
+            checkpoints_written: self.ckpt.as_ref().map_or(0, |c| c.written),
+            checkpoint_bytes: self.ckpt.as_ref().map_or(0, |c| c.bytes),
+            resume_level: self.resume_level,
         };
-        // The exploration completed: its checkpoints have served their
-        // purpose. Remove the managed artifacts (never the directories
-        // themselves); failures here must not fail a finished run.
-        if let Some(ctx) = ckpt {
+        // The checkpoints have served their purpose. Remove the managed
+        // artifacts (never the directories themselves); failures here
+        // must not fail a finished run.
+        if let Some(ctx) = &self.ckpt {
             checkpoint::clean(&ctx.dir);
         }
-        if let Some(dir) = &config.resume {
+        if let Some(dir) = &self.resume_dir {
             checkpoint::clean(dir);
         }
-        Ok(Exploration {
-            count: self.count,
-            parent: self.parent,
-            edge_off: self.edge_off,
-            edge_arcs,
-            fired: self.fired,
-            safe: self.safe,
-            spill: Some(counters),
-        })
+        Ok((arcs, Some(counters)))
     }
-}
-
-fn explore_spill_at(
-    stg: &Stg,
-    config: &ReachConfig,
-    width: u32,
-    resume: Option<&LoadedManifest>,
-) -> Result<Exploration, Abort> {
-    let mut ex = SpillExplorer::new(stg, config, width, resume)?;
-    let resume_level = resume.map_or(0, |m| m.level);
-    let mut ckpt = match (&config.checkpoint_dir, config.checkpoint_every) {
-        (Some(dir), every) if every > 0 => Some(CheckpointCtx {
-            dir: dir.clone(),
-            config_digest: checkpoint::config_digest(config, ex.nshards),
-            net_digest: checkpoint::net_digest(stg),
-            written: 0,
-            bytes: 0,
-        }),
-        _ => None,
-    };
-    let jobs = config.jobs.max(1);
-    let mut level = resume_level;
-    let mut rec = vec![0u64; ex.rec_words];
-    let mut next = vec![0u64; ex.stride];
-    loop {
-        let level_records = ex.frontier.begin_level();
-        if level_records == 0 {
-            break;
-        }
-        if jobs == 1 || level_records < 2 * jobs as u64 {
-            ex.expand_level_sequential(&mut rec, &mut next)?;
-        } else {
-            ex.expand_level_parallel(jobs, &mut rec, &mut next)?;
-        }
-        level += 1;
-        if let Some(ctx) = ckpt.as_mut() {
-            if level.is_multiple_of(config.checkpoint_every as u64) {
-                ex.write_checkpoint(ctx, level)?;
-            }
-        }
-    }
-    ex.finish(ckpt.as_ref(), resume_level, config)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parse::parse_g;
-    use crate::reach::ReachStrategy;
+    use crate::reach::{Explorer, ReachStrategy};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -743,27 +412,55 @@ d- a+
         assert_eq!(a.safe, b.safe);
     }
 
-    /// Runs the spill engine for `levels` BFS levels, commits a
-    /// checkpoint, and then *drops* the explorer — the unit-test stand-in
-    /// for a SIGKILL: the RAII scratch run vanishes, the checkpoint
-    /// directory survives.
+    /// A 1-safe start whose `buf` place reaches two tokens at BFS depth
+    /// 4: the narrow field layout holds through level 3 and overflows
+    /// while level 4 is expanded.
+    const WIDENS_LATE: &str = "\
+.model widen
+.inputs y
+.outputs x u v
+.graph
+p0 x+
+x+ p1 buf
+p1 u+
+u+ p2
+p2 v+
+v+ p3
+p3 x-
+x- p4 buf
+p4 u-
+u- p5
+p5 v-
+v- p0
+s1 x+
+s2 x-
+buf y+ y-
+y+ q1 s1
+q1 y-
+y- q0 s2
+q0 y+
+.marking { p0 s1 s2 q0 }
+.end
+";
+
+    /// Runs the paged store for `levels` BFS levels at the narrow field
+    /// width, committing a checkpoint after each, and then *drops* the
+    /// explorer — the unit-test stand-in for a SIGKILL: the RAII scratch
+    /// run vanishes, the checkpoint directory survives.
     fn run_levels_then_crash(stg: &Stg, config: &ReachConfig, dir: &std::path::Path, levels: u64) {
-        let width = narrow_width(stg).min(full_width(stg, config.max_tokens));
-        let mut ex = SpillExplorer::new(stg, config, width, None).ok().expect("engine setup");
-        let mut ctx = CheckpointCtx {
-            dir: dir.to_path_buf(),
-            config_digest: checkpoint::config_digest(config, ex.nshards),
-            net_digest: checkpoint::net_digest(stg),
-            written: 0,
-            bytes: 0,
+        let config = ReachConfig {
+            checkpoint_every: 1,
+            checkpoint_dir: Some(dir.to_path_buf()),
+            ..config.clone()
         };
-        let mut rec = vec![0u64; ex.rec_words];
-        let mut next = vec![0u64; ex.stride];
+        let width = narrow_width(stg).min(crate::reach::full_width(stg, config.max_tokens));
+        let net = PackedNet::compile(stg, config.max_tokens, width);
+        let (store, _) = PagedStore::open(stg, &config, &net, None).ok().expect("store setup");
+        let mut ex = Explorer::new(stg, &config, net, store, None).ok().expect("driver setup");
         for level in 1..=levels {
-            assert!(ex.frontier.begin_level() > 0, "net exhausted before level {level}");
-            ex.expand_level_sequential(&mut rec, &mut next).ok().expect("expand");
-            ex.write_checkpoint(&mut ctx, level).ok().expect("checkpoint");
+            assert!(ex.step_level().ok().expect("expand"), "net exhausted before level {level}");
         }
+        let ctx = ex.store.ckpt.as_ref().expect("checkpointing is on");
         assert_eq!(ctx.written, levels as u32);
         assert!(ctx.bytes > 0);
         assert!(dir.join("MANIFEST").exists());
@@ -772,22 +469,29 @@ d- a+
 
     #[test]
     fn resume_after_crash_is_byte_identical() {
-        let stg = parse_g(FORK_JOIN).unwrap();
         let config = spill_config();
-        let cold = explore_spill(&stg, &config).unwrap();
-        for levels in 1..=3 {
-            let dir = test_dir("resume");
-            run_levels_then_crash(&stg, &config, &dir, levels);
-            let resumed =
-                explore_spill(&stg, &ReachConfig { resume: Some(dir.clone()), ..config.clone() })
-                    .unwrap();
-            assert_same_exploration(&cold, &resumed);
-            let counters = resumed.spill.unwrap();
-            assert_eq!(counters.resume_level, levels);
-            // Success cleans the consumed checkpoint, keeps the dir.
-            assert!(!dir.join("MANIFEST").exists());
-            assert!(dir.exists());
-            std::fs::remove_dir_all(&dir).unwrap();
+        // The second net resumes at the narrow width and must widen after
+        // the checkpoint level: that restart runs cold.
+        for (src, widens) in [(FORK_JOIN, false), (WIDENS_LATE, true)] {
+            let stg = parse_g(src).unwrap();
+            let cold = explore_spill(&stg, &config).unwrap();
+            assert_eq!(cold.safe, !widens, "only the second net outgrows the narrow layout");
+            for levels in 1..=3 {
+                let dir = test_dir("resume");
+                run_levels_then_crash(&stg, &config, &dir, levels);
+                let resumed = explore_spill(
+                    &stg,
+                    &ReachConfig { resume: Some(dir.clone()), ..config.clone() },
+                )
+                .unwrap();
+                assert_same_exploration(&cold, &resumed);
+                let counters = resumed.spill.unwrap();
+                assert_eq!(counters.resume_level, if widens { 0 } else { levels });
+                // Success cleans the consumed checkpoint, keeps the dir.
+                assert!(!dir.join("MANIFEST").exists());
+                assert!(dir.exists());
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
         }
     }
 
@@ -825,7 +529,7 @@ d- a+
     fn checkpoint_every_without_dir_is_refused() {
         let stg = parse_g(FORK_JOIN).unwrap();
         let config = ReachConfig { checkpoint_every: 2, ..spill_config() };
-        match explore_spill(&stg, &config) {
+        match crate::reach::explore(&stg, &config) {
             Err(ReachError::Checkpoint { detail }) => assert!(detail.contains("checkpoint_dir")),
             other => panic!("expected a checkpoint pairing error, got {other:?}"),
         }

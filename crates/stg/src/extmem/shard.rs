@@ -11,20 +11,6 @@ use super::arena::PagedArena;
 use super::manifest::SpillManifest;
 use std::rc::Rc;
 
-/// SplitMix64-style fold of a packed marking; also drives shard
-/// selection (high bits) and slot probing (low bits).
-pub(crate) fn hash_words(words: &[u64]) -> u64 {
-    let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
-    for &w in words {
-        h ^= w;
-        h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h ^= h >> 27;
-        h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^= h >> 31;
-    }
-    h | 1 // 0 marks an empty slot
-}
-
 /// Which shard owns a marking with hash `h` (high bits, independent of
 /// the low bits the slot probe consumes).
 pub(crate) fn shard_of(h: u64, shards: usize) -> usize {
@@ -223,6 +209,7 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reach::hash_words;
 
     #[test]
     fn intern_dedups_across_eviction() {

@@ -21,11 +21,13 @@
 //! Elaboration runs on one of four engines selected by
 //! [`ReachConfig::strategy`]:
 //!
-//! * [`ReachStrategy::Packed`] (default) — markings are bit-packed `u64`
-//!   words in one contiguous arena, interned through a hash-to-index
-//!   table, with per-transition enable/fire masks and incrementally
-//!   maintained enabled sets; [`ReachConfig::jobs`] adds parallel
-//!   frontier expansion. See [`reach`] for the full architecture.
+//! * [`ReachStrategy::Packed`] (default) — the BFS driver over its
+//!   in-RAM store: markings are bit-packed `u64` words, stored with
+//!   their incrementally maintained enabled sets in one contiguous
+//!   arena and interned through a hash-to-index table, with
+//!   per-transition enable/fire masks; [`ReachConfig::jobs`] adds
+//!   parallel frontier expansion. See [`reach`] for the full
+//!   architecture.
 //! * [`ReachStrategy::Explicit`] — the legacy explicit BFS
 //!   (`Vec<u8>` markings, `HashMap` interning). Keep it in mind whenever
 //!   you need an independent oracle: it shares almost no code with the
@@ -43,16 +45,16 @@
 //!   cross-checked against the packed core) is materialized only up to
 //!   [`ReachConfig::materialize_limit`].
 //! * [`ReachStrategy::Spill`] — the external-memory engine ([`extmem`]):
-//!   the packed token game with a file-backed sharded state arena, a
-//!   spill-to-disk BFS frontier and a spilled edge log, so peak resident
-//!   memory is bounded by [`ReachConfig::memory_budget`] instead of by
-//!   the state count. Reach for it when a net you need *materialized*
+//!   the same BFS driver over a paged store — a file-backed sharded
+//!   state arena, a spill-to-disk BFS frontier and a spilled edge log —
+//!   so peak resident memory is bounded by
+//!   [`ReachConfig::memory_budget`] instead of by the state count. Reach for it when a net you need *materialized*
 //!   (regions, CSC, mapping — not just counted) outgrows RAM or the
 //!   symbolic engine's [`ReachConfig::materialize_limit`]; expect
 //!   scratch-disk usage in [`ReachConfig::spill_dir`] on the order of
 //!   `states × (marking + enabled-mask bytes)` plus two words per edge,
 //!   all removed when the run ends. [`ReachConfig::jobs`] parallelizes
-//!   spill frontier expansion exactly as it does the packed engine —
+//!   frontier expansion with the same driver code as for packed —
 //!   workers fire a batch of frontier records, results merge in
 //!   (source, transition) order — so the graph stays byte-identical at
 //!   any fan-out. Knobs: [`ReachConfig::memory_budget`] (default

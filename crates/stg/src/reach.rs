@@ -2,34 +2,45 @@
 //! [`simap_sg::StateGraph`], inferring initial signal values from
 //! consistency.
 //!
-//! # The packed-state engine
+//! # One BFS driver, two state stores
 //!
-//! Reachability is the hot path every synthesis pays first, so the
-//! default [`ReachStrategy::Packed`] engine is built for throughput:
+//! Reachability is the hot path every synthesis pays first. The packed
+//! and spill strategies run the same level-synchronized BFS driver
+//! (`Explorer`); they differ only in the `StateStore` that keeps the
+//! states:
 //!
 //! * **Packed markings.** A marking is a fixed number of `u64` words;
 //!   every place owns a fixed-width bit field inside them (wide enough
-//!   for `max_tokens + 1` plus a SWAR guard bit). All markings live in
-//!   one contiguous arena — no per-state heap allocation.
-//! * **Interning.** States are deduplicated through an open-addressing
-//!   hash-to-index table over the arena, so the visited set costs one
-//!   probe sequence per successor instead of a `HashMap<Vec<u8>, _>`
-//!   entry per state.
-//! * **Mask-compiled transitions.** For every transition the engine
+//!   for `max_tokens + 1` plus a SWAR guard bit). The driver first
+//!   speculates on the narrowest layout that holds the initial marking
+//!   and restarts once at full width if a field overflows.
+//! * **Mask-compiled transitions.** For every transition the driver
 //!   precomputes per-word enable probes and fire deltas, turning
 //!   `enabled()` into word-wise AND/ADD/compare (a SWAR all-fields-nonzero
 //!   test) and firing into one wrapping subtract/add per word — no byte
-//!   loops over places.
+//!   loops over places. A new state's enabled set is derived from its
+//!   BFS parent's: carried-over bits plus the rechecked neighborhood of
+//!   the fired transition.
 //! * **Parallel frontier expansion.** With [`ReachConfig::jobs`] > 1 the
-//!   BFS expands each frontier level on a pool of scoped threads and
-//!   merges the successor lists in deterministic (source, transition)
-//!   order, so the resulting graph — and any error — is byte-identical
-//!   to the sequential run.
+//!   driver expands each level in batches on scoped threads and merges
+//!   the successors in deterministic (source, transition) order, so the
+//!   resulting graph — and any error — is byte-identical to the
+//!   sequential run.
+//! * **The in-RAM store** ([`ReachStrategy::Packed`], the default) keeps
+//!   every `[marking | enabled mask]` record in one contiguous arena,
+//!   deduplicated through an open-addressing table of record indices,
+//!   and hands each level out in place.
+//! * **The paged store** ([`ReachStrategy::Spill`], [`crate::extmem`])
+//!   keeps the records in hash-partitioned, file-backed shards with a
+//!   spill-to-disk frontier and edge log, and can checkpoint them.
+//!
+//! Both stores hash markings with one function, `hash_words`, whose
+//! values spill checkpoints persist.
 //!
 //! The legacy explicit BFS survives as [`ReachStrategy::Explicit`]: one
 //! `Vec<u8>` per marking, `HashMap` interning. It is deliberately simple
-//! and serves as the differential-testing oracle for the packed engine
-//! (see `tests/reach_differential.rs`); both strategies produce
+//! and serves as the differential-testing oracle for the BFS driver
+//! (see `tests/reach_differential.rs`); all strategies produce
 //! byte-identical state graphs and identical [`ReachError`] values.
 //!
 //! # The symbolic engine
@@ -51,7 +62,7 @@
 //! symbolic engine's scope and rejected as [`ReachError::NotSafe`].
 
 use crate::petri::{PlaceId, Stg, TransitionId};
-use simap_sg::{check_consistency, StateGraph, StateId};
+use simap_sg::{check_consistency, Event, StateGraph, StateId};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -76,7 +87,7 @@ pub enum ReachStrategy {
     /// [`ReachConfig::materialize_limit`].
     Symbolic,
     /// External-memory sharded reachability ([`crate::extmem`]): the
-    /// packed engine's marking layout over a file-backed paged arena,
+    /// packed strategy's BFS driver over a file-backed paged arena,
     /// hash-partitioned intern shards, and a spill-to-disk frontier and
     /// edge log, so peak resident memory is bounded by
     /// [`ReachConfig::memory_budget`] instead of the state count. Graphs
@@ -151,7 +162,8 @@ pub struct ReachConfig {
     /// atomically snapshotted into [`ReachConfig::checkpoint_dir`], so a
     /// killed run can continue from the last snapshot via
     /// [`ReachConfig::resume`]. `0` (the default) disables
-    /// checkpointing. Ignored by the in-memory strategies.
+    /// checkpointing. The other strategies keep no checkpoints and
+    /// refuse a non-zero value with [`ReachError::Checkpoint`].
     pub checkpoint_every: usize,
     /// Durable directory the spill strategy writes its checkpoint
     /// generations into (required when [`ReachConfig::checkpoint_every`]
@@ -164,8 +176,30 @@ pub struct ReachConfig {
     /// current net and configuration (refusing on any mismatch, naming
     /// both digests) and the level-synchronized BFS continues from the
     /// snapshot, producing a [`StateGraph`] byte-identical to an
-    /// uninterrupted run. Ignored by the in-memory strategies.
+    /// uninterrupted run. The other strategies refuse it with
+    /// [`ReachError::Checkpoint`].
     pub resume: Option<std::path::PathBuf>,
+}
+
+impl ReachConfig {
+    /// Why the checkpoint settings cannot be honoured, or `None` when
+    /// they can: a checkpoint cadence needs a checkpoint directory, and
+    /// only the spill strategy keeps checkpoints to write or resume.
+    pub fn checkpoint_conflict(&self) -> Option<String> {
+        if self.checkpoint_every > 0 && self.checkpoint_dir.is_none() {
+            return Some("checkpoint_every requires checkpoint_dir".into());
+        }
+        if self.strategy != ReachStrategy::Spill
+            && (self.checkpoint_every > 0 || self.resume.is_some())
+        {
+            return Some(format!(
+                "checkpoint_every and resume require the spill reachability strategy; \
+                 the {} strategy keeps no checkpoints",
+                self.strategy
+            ));
+        }
+        None
+    }
 }
 
 impl Default for ReachConfig {
@@ -435,7 +469,7 @@ pub(crate) struct Exploration {
     /// transition's event and ordered by ascending transition id — ready
     /// for [`StateGraph::from_csr_parts`].
     pub(crate) edge_off: Vec<usize>,
-    pub(crate) edge_arcs: Vec<(simap_sg::Event, StateId)>,
+    pub(crate) edge_arcs: Arcs,
     /// Per transition: whether it fired anywhere.
     pub(crate) fired: Vec<bool>,
     /// Whether every reachable marking keeps at most one token per place.
@@ -444,8 +478,16 @@ pub(crate) struct Exploration {
     pub(crate) spill: Option<SpillCounters>,
 }
 
-/// Runs the token game with the configured strategy.
+/// Event-labeled edges in CSR order, as [`StateGraph::from_csr_parts`]
+/// takes them.
+pub(crate) type Arcs = Vec<(Event, StateId)>;
+
+/// Runs the token game with the configured strategy, after refusing
+/// checkpoint settings it cannot honour.
 pub(crate) fn explore(stg: &Stg, config: &ReachConfig) -> Result<Exploration, ReachError> {
+    if let Some(detail) = config.checkpoint_conflict() {
+        return Err(ReachError::Checkpoint { detail });
+    }
     match config.strategy {
         ReachStrategy::Packed => explore_packed(stg, config),
         ReachStrategy::Explicit => explore_explicit(stg, config),
@@ -465,7 +507,7 @@ fn explore_explicit(stg: &Stg, config: &ReachConfig) -> Result<Exploration, Reac
     let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
     let mut markings: Vec<Vec<u8>> = Vec::new();
     let mut edge_off: Vec<usize> = Vec::new();
-    let mut edge_arcs: Vec<(simap_sg::Event, StateId)> = Vec::new();
+    let mut edge_arcs: Vec<(Event, StateId)> = Vec::new();
     let mut parent: Vec<Option<(usize, TransitionId)>> = Vec::new();
     let mut fired = vec![false; n_transitions];
     let mut safe = initial.iter().all(|&t| t <= 1);
@@ -565,7 +607,7 @@ pub(crate) struct PackedNet {
     /// `u64` words per marking (at least 1 so empty nets still intern).
     pub(crate) words: usize,
     /// Bits per place field (value range plus one SWAR guard bit).
-    width: u32,
+    pub(crate) width: u32,
     /// The configured token bound (for the cold error path).
     max_tokens: u8,
     /// Per word: bits 1.. of every field (a field holds > 1 token iff it
@@ -815,115 +857,34 @@ impl PackedNet {
     }
 }
 
-/// Open-addressing hash-to-index table over the packed arena.
-struct InternTable {
-    /// Slot values are arena indices; `usize::MAX` marks an empty slot.
-    slots: Vec<usize>,
-    mask: usize,
-    len: usize,
+/// Seed of [`hash_words`].
+pub(crate) const HASH_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One SplitMix64-style mixing step of [`hash_words`] (and of the
+/// checkpoint checksum, which streams the same fold).
+#[inline]
+pub(crate) fn mix_word(h: u64, w: u64) -> u64 {
+    let h = (h ^ w).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
 }
 
-impl InternTable {
-    fn with_capacity(n: usize) -> InternTable {
-        let cap = (n.max(8) * 2).next_power_of_two();
-        InternTable { slots: vec![usize::MAX; cap], mask: cap - 1, len: 0 }
-    }
-
-    #[inline]
-    fn hash(words: &[u64]) -> u64 {
-        // SplitMix64-style fold: cheap, well-distributed for dense words.
-        // The 1- and 2-word layouts (every 1-safe net up to 32 and 64
-        // places) take branch-free specializations.
-        let mix = |h: u64, w: u64| {
-            let mut z = h ^ w;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
-        match *words {
-            [a] => mix(SEED, a),
-            [a, b] => mix(mix(SEED, a), b),
-            ref ws => ws.iter().fold(SEED, |h, &w| mix(h, w)),
-        }
-    }
-
-    /// Stride-specialized slice equality against the arena.
-    #[inline]
-    fn matches(arena: &[u64], stride: usize, i: usize, needle: &[u64]) -> bool {
-        match *needle {
-            [a] => arena[i] == a,
-            [a, b] => {
-                let base = i * 2;
-                arena[base] == a && arena[base + 1] == b
-            }
-            ref ws => &arena[i * stride..(i + 1) * stride] == ws,
-        }
-    }
-
-    /// Looks up the packed marking in the arena; on a miss, reserves the
-    /// slot for `candidate` and returns `None` (the caller then appends
-    /// the marking at index `candidate`).
-    fn lookup_or_reserve(
-        &mut self,
-        arena: &[u64],
-        stride: usize,
-        needle: &[u64],
-        candidate: usize,
-    ) -> Option<usize> {
-        if self.len * 3 >= self.slots.len() * 2 {
-            self.grow(arena, stride);
-        }
-        let mut slot = (Self::hash(needle) as usize) & self.mask;
-        loop {
-            match self.slots[slot] {
-                usize::MAX => {
-                    self.slots[slot] = candidate;
-                    self.len += 1;
-                    return None;
-                }
-                i if Self::matches(arena, stride, i, needle) => return Some(i),
-                _ => slot = (slot + 1) & self.mask,
-            }
-        }
-    }
-
-    fn grow(&mut self, arena: &[u64], stride: usize) {
-        let cap = self.slots.len() * 2;
-        let mut bigger = InternTable { slots: vec![usize::MAX; cap], mask: cap - 1, len: self.len };
-        for &i in self.slots.iter().filter(|&&i| i != usize::MAX) {
-            let words = &arena[i * stride..(i + 1) * stride];
-            let mut slot = (Self::hash(words) as usize) & bigger.mask;
-            while bigger.slots[slot] != usize::MAX {
-                slot = (slot + 1) & bigger.mask;
-            }
-            bigger.slots[slot] = i;
-        }
-        *self = bigger;
-    }
+/// The marking hash of both state stores: a [`mix_word`] fold over the
+/// packed words, never 0 (0 marks an empty paged-table slot). Spill
+/// checkpoints persist its values, so it must not change. The 1- and
+/// 2-word layouts (every 1-safe net up to 32 and 64 places) take
+/// branch-free specializations.
+#[inline]
+pub(crate) fn hash_words(words: &[u64]) -> u64 {
+    let h = match *words {
+        [a] => mix_word(HASH_SEED, a),
+        [a, b] => mix_word(mix_word(HASH_SEED, a), b),
+        ref ws => ws.iter().fold(HASH_SEED, |h, &w| mix_word(h, w)),
+    };
+    h | 1
 }
 
-/// One expanded successor produced by a frontier worker: the source
-/// marking (arena index), the transition, and where the packed successor
-/// marking lives in the worker's output buffer.
-struct SuccRef {
-    src: usize,
-    t: TransitionId,
-}
-
-/// The output of expanding one contiguous chunk of the frontier.
-struct ChunkOut {
-    /// Packed successor markings, `stride` words each, aligned with
-    /// `succs`.
-    buf: Vec<u64>,
-    /// Successor metadata in (source, transition) order.
-    succs: Vec<SuccRef>,
-    /// The first faulting firing in the chunk, if any: successors of
-    /// earlier (source, transition) pairs are all in `succs`.
-    fault: Option<(usize, FireFault)>,
-}
-
-/// Why one packed exploration attempt stopped.
+/// Why one exploration attempt stopped.
 pub(crate) enum Abort {
     /// A real reachability error — propagate it.
     Error(ReachError),
@@ -938,291 +899,512 @@ impl From<ReachError> for Abort {
     }
 }
 
-/// The packed BFS state: marking arena, per-state enabled-transition
-/// bitmasks (maintained incrementally), intern table and the outputs.
-struct PackedExplorer<'a> {
-    stg: &'a Stg,
-    net: PackedNet,
-    stride: usize,
-    t_words: usize,
-    max_states: usize,
-    max_tokens: u8,
-    /// Packed markings, `stride` words per state.
-    arena: Vec<u64>,
-    /// Enabled-transition bitmask per state, `t_words` words each,
-    /// parallel to `arena`. Computed once per *new* state from its BFS
-    /// parent's mask: carried-over bits plus the rechecked neighborhood
-    /// of the fired transition.
-    enabled: Vec<u64>,
-    table: InternTable,
-    /// Event label per transition, resolved once.
-    events: Vec<simap_sg::Event>,
-    parent: Vec<Option<(usize, TransitionId)>>,
-    edge_off: Vec<usize>,
-    edge_arcs: Vec<(simap_sg::Event, StateId)>,
-    fired: Vec<bool>,
-    safe: bool,
-    scratch_en: Vec<u64>,
+/// Where the BFS driver keeps its states: a deduplicating table of
+/// packed markings plus the `[marking | enabled mask]` record of every
+/// state still to expand, and the log of fired edges. Levels are
+/// synchronized: the states committed while one level is expanded form
+/// the next.
+pub(crate) trait StateStore {
+    /// Looks `marking` (with `h = hash_words(marking)`) up: `Some(id)`
+    /// for a known state; `None` reserves its entry for the
+    /// [`StateStore::commit`] that must follow.
+    fn intern(&mut self, marking: &[u64], h: u64) -> Result<Option<usize>, Abort>;
+    /// Stores the reserved state under the next BFS id, `id`, and queues
+    /// its `[marking | mask]` record for the next level.
+    fn commit(&mut self, marking: &[u64], mask: &[u64], id: usize) -> Result<(), Abort>;
+    /// Logs one fired edge of the source being expanded.
+    fn push_edge(&mut self, event: Event, dst: usize) -> Result<(), Abort>;
+    /// Edges logged so far.
+    fn edges(&self) -> usize;
+    /// Seals the states committed since the last call as the level to
+    /// expand; returns its record count (0 ends the BFS).
+    fn begin_level(&mut self) -> Result<usize, Abort>;
+    /// Copies the level's next record into `out`; `false` once the
+    /// level is exhausted.
+    fn next_record(&mut self, out: &mut [u64]) -> Result<bool, Abort>;
+    /// Hands the level's next run of records — as many as the store
+    /// holds at once — to `f`; `None` once the level is exhausted.
+    fn next_batch<R>(&mut self, f: impl FnOnce(&[u64]) -> R) -> Result<Option<R>, Abort>;
+    /// Called once per fully expanded level, the one moment a snapshot
+    /// of `tree` and the store is consistent.
+    fn end_level(&mut self, _tree: &BfsTree) -> Result<(), Abort> {
+        Ok(())
+    }
+    /// Hands back the logged edges, in push order, plus the store's
+    /// disk counters.
+    fn finish(self) -> Result<(Arcs, Option<SpillCounters>), Abort>;
 }
 
-impl<'a> PackedExplorer<'a> {
-    fn new(stg: &'a Stg, config: &ReachConfig, width: u32) -> PackedExplorer<'a> {
-        let net = PackedNet::compile(stg, config.max_tokens, width);
-        let stride = net.words;
-        let t_words = net.t_words;
-        let n_transitions = stg.transition_count();
+/// The store-independent BFS outputs the driver accumulates (and a
+/// spill checkpoint persists). `parent.len()` is the number of states
+/// discovered and `edge_off.len()` the number expanded.
+pub(crate) struct BfsTree {
+    pub(crate) parent: Vec<Option<(usize, TransitionId)>>,
+    pub(crate) edge_off: Vec<usize>,
+    pub(crate) fired: Vec<bool>,
+    pub(crate) safe: bool,
+}
 
-        let mut initial = vec![0u64; stride];
-        net.pack_into(stg.initial_marking(), &mut initial);
-        let safe = net.multi.iter().zip(&initial).all(|(&m, &w)| w & m == 0);
+/// The level-synchronized BFS driver: the token game over a
+/// [`PackedNet`], generic over where the states live.
+pub(crate) struct Explorer<'a, S> {
+    stg: &'a Stg,
+    net: PackedNet,
+    pub(crate) store: S,
+    tree: BfsTree,
+    /// Event label per transition, resolved once.
+    events: Vec<Event>,
+    max_states: usize,
+    jobs: usize,
+    /// The enabled mask of the state being committed, derived from its
+    /// BFS parent's.
+    succ_mask: Vec<u64>,
+    /// The enabled masks of the batch being merged, one `t_words` run
+    /// per source record (reused across batches).
+    batch_masks: Vec<u64>,
+}
 
-        // The initial state's enabled set is the one full per-transition
-        // scan; every other state derives its set incrementally.
-        let mut en0 = vec![0u64; t_words];
-        for t in 0..n_transitions {
-            if net.enabled(&initial, TransitionId(t)) {
-                en0[t / 64] |= 1u64 << (t % 64);
+/// The successors of one contiguous run of level records, expanded
+/// without touching shared state.
+struct Chunk {
+    /// Packed successor markings, `stride` words each, aligned with
+    /// `succs`.
+    buf: Vec<u64>,
+    /// [`hash_words`] of each successor (hashing is the workers' job;
+    /// the merge only probes the store).
+    hashes: Vec<u64>,
+    /// (batch-relative source record, transition) in expansion order.
+    succs: Vec<(u32, TransitionId)>,
+    /// The first faulting firing, if any: successors of earlier
+    /// (source, transition) pairs are all in `succs`.
+    fault: Option<(u32, FireFault)>,
+}
+
+impl<'a, S: StateStore> Explorer<'a, S> {
+    /// A driver over `store`, continuing from `resumed` or, without it,
+    /// starting from the initial marking.
+    pub(crate) fn new(
+        stg: &'a Stg,
+        config: &ReachConfig,
+        net: PackedNet,
+        mut store: S,
+        resumed: Option<BfsTree>,
+    ) -> Result<Explorer<'a, S>, Abort> {
+        let mut succ_mask = vec![0u64; net.t_words];
+        let tree = match resumed {
+            Some(tree) => tree,
+            None => {
+                // The initial state's enabled set is the one full
+                // per-transition scan; every other state derives its set
+                // incrementally from its BFS parent's.
+                let mut initial = vec![0u64; net.words];
+                net.pack_into(stg.initial_marking(), &mut initial);
+                for t in 0..stg.transition_count() {
+                    if net.enabled(&initial, TransitionId(t)) {
+                        succ_mask[t / 64] |= 1u64 << (t % 64);
+                    }
+                }
+                let reserved = store.intern(&initial, hash_words(&initial))?;
+                debug_assert!(reserved.is_none(), "an empty store cannot know the initial marking");
+                store.commit(&initial, &succ_mask, 0)?;
+                BfsTree {
+                    parent: vec![None],
+                    edge_off: Vec::new(),
+                    fired: vec![false; stg.transition_count()],
+                    safe: net.multi.iter().zip(&initial).all(|(&m, &w)| w & m == 0),
+                }
             }
-        }
-
-        let mut this = PackedExplorer {
-            stg,
-            stride,
-            t_words,
-            max_states: config.max_states,
-            max_tokens: config.max_tokens,
-            arena: Vec::with_capacity(stride * 4096),
-            enabled: Vec::with_capacity(t_words * 4096),
-            table: InternTable::with_capacity(2048),
-            events: stg.transitions().iter().map(|t| t.event).collect(),
-            parent: Vec::with_capacity(4096),
-            edge_off: Vec::with_capacity(4096),
-            edge_arcs: Vec::with_capacity(8192),
-            fired: vec![false; n_transitions],
-            safe,
-            scratch_en: vec![0u64; t_words],
-            net,
         };
-        this.arena.extend_from_slice(&initial);
-        this.enabled.extend_from_slice(&en0);
-        let reserved = this.table.lookup_or_reserve(&this.arena, stride, &initial, 0);
-        debug_assert!(reserved.is_none());
-        this.parent.push(None);
-        this
+        Ok(Explorer {
+            stg,
+            store,
+            tree,
+            events: stg.transitions().iter().map(|t| t.event).collect(),
+            max_states: config.max_states,
+            jobs: config.jobs.max(1),
+            succ_mask,
+            batch_masks: Vec::new(),
+            net,
+        })
     }
 
-    fn count(&self) -> usize {
-        self.arena.len() / self.stride
+    /// Expands one sealed level; `false` once the BFS is complete.
+    pub(crate) fn step_level(&mut self) -> Result<bool, Abort> {
+        let records = self.store.begin_level()?;
+        if records == 0 {
+            return Ok(false);
+        }
+        if self.jobs == 1 || records < 2 * self.jobs {
+            self.expand_sequential()?;
+        } else {
+            self.expand_parallel()?;
+        }
+        self.store.end_level(&self.tree)?;
+        Ok(true)
+    }
+
+    /// Closes the CSR offsets and assembles the [`Exploration`].
+    pub(crate) fn finish(mut self) -> Result<Exploration, Abort> {
+        self.tree.edge_off.push(self.store.edges());
+        let (edge_arcs, spill) = self.store.finish()?;
+        let BfsTree { parent, edge_off, fired, safe } = self.tree;
+        Ok(Exploration { count: parent.len(), parent, edge_off, edge_arcs, fired, safe, spill })
     }
 
     fn fault(&self, fault: FireFault, src: usize) -> Abort {
         match fault {
             FireFault::Unbounded(p) => Abort::Error(ReachError::Unbounded {
                 place: self.stg.places()[p.0].name.clone(),
-                max_tokens: self.max_tokens,
+                max_tokens: self.net.max_tokens,
                 visited: src,
             }),
             FireFault::Widen => Abort::Widen,
         }
     }
 
-    /// Interns one fired successor: dedup through the table, append to
-    /// the arena on a miss (deriving its enabled set from the source's),
-    /// record the edge. Identical across the sequential and
-    /// merged-parallel paths — this is what makes `jobs` byte-stable.
-    fn intern(&mut self, src: usize, t: TransitionId, next: &[u64]) -> Result<(), Abort> {
-        let candidate = self.count();
-        let dst = match self.table.lookup_or_reserve(&self.arena, self.stride, next, candidate) {
-            Some(i) => i,
+    /// Interns one fired successor: on a miss, checks the state limit,
+    /// derives the new state's enabled set from its source's mask and
+    /// commits it; logs the edge either way. The sequential and the
+    /// merged-parallel paths share it — this is what makes `jobs`
+    /// byte-stable.
+    fn absorb(
+        &mut self,
+        src: usize,
+        t: TransitionId,
+        src_mask: &[u64],
+        next: &[u64],
+        h: u64,
+    ) -> Result<(), Abort> {
+        let dst = match self.store.intern(next, h)? {
+            Some(id) => id,
             None => {
-                if candidate >= self.max_states {
+                let id = self.tree.parent.len();
+                if id >= self.max_states {
                     return Err(Abort::Error(ReachError::StateLimit {
                         limit: self.max_states,
                         visited: src,
                     }));
                 }
-                if self.safe && self.net.multi.iter().zip(next).any(|(&m, &w)| w & m != 0) {
-                    self.safe = false;
+                if self.tree.safe && self.net.multi.iter().zip(next).any(|(&m, &w)| w & m != 0) {
+                    self.tree.safe = false;
                 }
                 // Incremental enabled set: carry over every transition
                 // whose pre-places `t` did not touch, recheck the rest.
-                let en_src = &self.enabled[src * self.t_words..(src + 1) * self.t_words];
-                let keep = &self.net.keep[t.0 * self.t_words..(t.0 + 1) * self.t_words];
-                for (s, (&e, &k)) in self.scratch_en.iter_mut().zip(en_src.iter().zip(keep)) {
+                let t_words = self.net.t_words;
+                let keep = &self.net.keep[t.0 * t_words..(t.0 + 1) * t_words];
+                for (s, (&e, &k)) in self.succ_mask.iter_mut().zip(src_mask.iter().zip(keep)) {
                     *s = e & k;
                 }
                 let (rs, re) = self.net.recheck_range[t.0];
                 for &u in &self.net.recheck[rs as usize..re as usize] {
                     if self.net.enabled(next, TransitionId(u as usize)) {
-                        self.scratch_en[u as usize / 64] |= 1u64 << (u % 64);
+                        self.succ_mask[u as usize / 64] |= 1u64 << (u % 64);
                     }
                 }
-                self.arena.extend_from_slice(next);
-                self.enabled.extend_from_slice(&self.scratch_en);
-                self.parent.push(Some((src, t)));
-                candidate
+                self.store.commit(next, &self.succ_mask, id)?;
+                self.tree.parent.push(Some((src, t)));
+                id
             }
         };
-        self.edge_arcs.push((self.events[t.0], StateId(dst)));
-        Ok(())
+        self.store.push_edge(self.events[t.0], dst)
     }
 
-    /// Expands frontier states `lo..hi` sequentially.
-    fn expand_sequential(&mut self, lo: usize, hi: usize) -> Result<(), Abort> {
-        let stride = self.stride;
-        let mut cur = vec![0u64; stride];
-        let mut cur_en = vec![0u64; self.t_words];
+    /// Expands the level record by record, firing every enabled
+    /// transition in ascending order.
+    fn expand_sequential(&mut self) -> Result<(), Abort> {
+        let stride = self.net.words;
+        let mut rec = vec![0u64; stride + self.net.t_words];
         let mut next = vec![0u64; stride];
-        for src in lo..hi {
-            self.edge_off.push(self.edge_arcs.len());
-            // Local copies: the loop then reads stable buffers while the
-            // arenas grow behind them.
-            cur.copy_from_slice(&self.arena[src * stride..(src + 1) * stride]);
-            cur_en.copy_from_slice(&self.enabled[src * self.t_words..(src + 1) * self.t_words]);
-            for (w, &bits) in cur_en.iter().enumerate() {
+        while self.store.next_record(&mut rec)? {
+            let src = self.tree.edge_off.len();
+            self.tree.edge_off.push(self.store.edges());
+            let (cur, mask) = rec.split_at(stride);
+            for (w, &bits) in mask.iter().enumerate() {
                 let mut bits = bits;
                 while bits != 0 {
                     let t = TransitionId(w * 64 + bits.trailing_zeros() as usize);
                     bits &= bits - 1;
-                    self.fired[t.0] = true;
-                    if let Some(f) = self.net.fire(self.stg, &cur, t, &mut next) {
+                    self.tree.fired[t.0] = true;
+                    if let Some(f) = self.net.fire(self.stg, cur, t, &mut next) {
                         return Err(self.fault(f, src));
                     }
-                    self.intern(src, t, &next)?;
+                    self.absorb(src, t, mask, &next, hash_words(&next))?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Expands one level on `jobs` scoped workers and merges the chunks
-    /// in deterministic (source, transition) order, so state numbering,
-    /// edges and errors are byte-identical to the sequential run.
-    fn expand_parallel(&mut self, lo: usize, hi: usize, jobs: usize) -> Result<(), Abort> {
-        let chunk_len = (hi - lo).div_ceil(jobs);
-        let stride = self.stride;
-        let chunks: Vec<ChunkOut> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for c in 0..jobs {
-                let chunk_lo = lo + c * chunk_len;
-                let chunk_hi = (chunk_lo + chunk_len).min(hi);
-                if chunk_lo >= chunk_hi {
-                    break;
+    /// Expands the level batch by batch on `jobs` scoped workers and
+    /// merges their successors in (source, transition) order, so state
+    /// numbering, edges and errors are byte-identical to the sequential
+    /// run.
+    fn expand_parallel(&mut self) -> Result<(), Abort> {
+        let (stride, t_words) = (self.net.words, self.net.t_words);
+        let mut masks = std::mem::take(&mut self.batch_masks);
+        loop {
+            let (stg, net, jobs) = (self.stg, &self.net, self.jobs);
+            let Some(chunks) = self.store.next_batch(|batch| {
+                masks.clear();
+                masks.extend(batch.chunks_exact(stride + t_words).flat_map(|r| &r[stride..]));
+                expand_batch(stg, net, batch, jobs)
+            })?
+            else {
+                self.batch_masks = masks;
+                return Ok(());
+            };
+            let base = self.tree.edge_off.len();
+            for chunk in chunks {
+                for (i, &(rel, t)) in chunk.succs.iter().enumerate() {
+                    let rel = rel as usize;
+                    self.tree.fired[t.0] = true;
+                    // Keep the CSR offsets in lockstep: one entry per
+                    // source, including barren ones.
+                    while self.tree.edge_off.len() <= base + rel {
+                        self.tree.edge_off.push(self.store.edges());
+                    }
+                    self.absorb(
+                        base + rel,
+                        t,
+                        &masks[rel * t_words..(rel + 1) * t_words],
+                        &chunk.buf[i * stride..(i + 1) * stride],
+                        chunk.hashes[i],
+                    )?;
                 }
-                let stg = self.stg;
-                let net = &self.net;
-                let arena = &self.arena[..];
-                let enabled = &self.enabled[..];
-                let t_words = self.t_words;
-                handles.push(scope.spawn(move || {
-                    expand_chunk(stg, net, arena, enabled, stride, t_words, chunk_lo, chunk_hi)
-                }));
-            }
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-        });
-        for chunk in chunks {
-            for (i, succ) in chunk.succs.iter().enumerate() {
-                self.fired[succ.t.0] = true;
-                // Keep the CSR offsets in lockstep: one entry per source,
-                // including barren ones the chunks skipped over.
-                while self.edge_off.len() <= succ.src {
-                    self.edge_off.push(self.edge_arcs.len());
+                if let Some((rel, f)) = chunk.fault {
+                    return Err(self.fault(f, base + rel as usize));
                 }
-                self.intern(succ.src, succ.t, &chunk.buf[i * stride..(i + 1) * stride])?;
             }
-            if let Some((src, f)) = chunk.fault {
-                return Err(self.fault(f, src));
+            while self.tree.edge_off.len() < base + masks.len() / t_words {
+                self.tree.edge_off.push(self.store.edges());
             }
         }
-        while self.edge_off.len() < hi {
-            self.edge_off.push(self.edge_arcs.len());
-        }
-        Ok(())
     }
 }
 
-pub(crate) fn explore_packed(stg: &Stg, config: &ReachConfig) -> Result<Exploration, ReachError> {
-    // Speculate on the narrow field layout first (1-safe nets, i.e. all
-    // of practice, quarter their arena footprint this way); a layout
-    // overflow restarts once at the width that can represent every legal
-    // token count. Both attempts explore in identical BFS order, so the
-    // restart is invisible in the output.
-    let narrow = narrow_width(stg);
-    let full = full_width(stg, config.max_tokens);
-    match explore_packed_at(stg, config, narrow.min(full)) {
-        Err(Abort::Widen) => {
-            debug_assert!(narrow < full, "full-width runs cannot ask to widen");
-            match explore_packed_at(stg, config, full) {
-                Ok(exploration) => Ok(exploration),
-                Err(Abort::Error(e)) => Err(e),
-                Err(Abort::Widen) => unreachable!("full-width runs cannot ask to widen"),
-            }
-        }
-        Ok(exploration) => Ok(exploration),
-        Err(Abort::Error(e)) => Err(e),
+/// Expands a batch of `[marking | mask]` records on up to `jobs` scoped
+/// workers, one contiguous chunk each (inline when the batch is too
+/// small to be worth a fan-out), returning the chunks in batch order.
+fn expand_batch(stg: &Stg, net: &PackedNet, batch: &[u64], jobs: usize) -> Vec<Chunk> {
+    let rec_words = net.words + net.t_words;
+    let records = batch.len() / rec_words;
+    if records < 2 * jobs {
+        return vec![expand_chunk(stg, net, batch, 0)];
     }
-}
-
-fn explore_packed_at(stg: &Stg, config: &ReachConfig, width: u32) -> Result<Exploration, Abort> {
-    let mut explorer = PackedExplorer::new(stg, config, width);
-    let jobs = config.jobs.max(1);
-    let mut level_start = 0usize;
-    while level_start < explorer.count() {
-        let level_end = explorer.count();
-        if jobs == 1 || level_end - level_start < 2 * jobs {
-            explorer.expand_sequential(level_start, level_end)?;
-        } else {
-            explorer.expand_parallel(level_start, level_end, jobs)?;
-        }
-        level_start = level_end;
-    }
-    explorer.edge_off.push(explorer.edge_arcs.len());
-    Ok(Exploration {
-        count: explorer.count(),
-        parent: explorer.parent,
-        edge_off: explorer.edge_off,
-        edge_arcs: explorer.edge_arcs,
-        fired: explorer.fired,
-        safe: explorer.safe,
-        spill: None,
+    let chunk_len = records.div_ceil(jobs);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = batch
+            .chunks(chunk_len * rec_words)
+            .enumerate()
+            .map(|(c, recs)| scope.spawn(move || expand_chunk(stg, net, recs, c * chunk_len)))
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("frontier worker panicked")).collect()
     })
 }
 
-/// Expands frontier states `lo..hi` (arena indices) without touching
-/// shared mutable state; pure function of the arena prefixes.
-#[allow(clippy::too_many_arguments)]
-fn expand_chunk(
-    stg: &Stg,
-    net: &PackedNet,
-    arena: &[u64],
-    enabled: &[u64],
-    stride: usize,
-    t_words: usize,
-    lo: usize,
-    hi: usize,
-) -> ChunkOut {
-    let mut out = ChunkOut { buf: Vec::with_capacity(stride * 16), succs: Vec::new(), fault: None };
+/// Fires every enabled transition of each record in `recs` (the batch
+/// records from `base` on): a pure function of its input, safe to run
+/// on a scoped worker thread.
+fn expand_chunk(stg: &Stg, net: &PackedNet, recs: &[u64], base: usize) -> Chunk {
+    let stride = net.words;
+    let mut out = Chunk {
+        buf: Vec::with_capacity(stride * 16),
+        hashes: Vec::with_capacity(16),
+        succs: Vec::with_capacity(16),
+        fault: None,
+    };
     let mut next = vec![0u64; stride];
-    'srcs: for src in lo..hi {
-        let m = &arena[src * stride..(src + 1) * stride];
-        let en = &enabled[src * t_words..(src + 1) * t_words];
-        for (w, &bits) in en.iter().enumerate() {
+    'recs: for (r, rec) in recs.chunks_exact(stride + net.t_words).enumerate() {
+        let rel = (base + r) as u32;
+        let (cur, mask) = rec.split_at(stride);
+        for (w, &bits) in mask.iter().enumerate() {
             let mut bits = bits;
             while bits != 0 {
                 let t = TransitionId(w * 64 + bits.trailing_zeros() as usize);
                 bits &= bits - 1;
-                if let Some(f) = net.fire(stg, m, t, &mut next) {
+                if let Some(f) = net.fire(stg, cur, t, &mut next) {
                     // Everything after this firing would never be reached
                     // sequentially; record the fault position and stop.
-                    out.fault = Some((src, f));
-                    break 'srcs;
+                    out.fault = Some((rel, f));
+                    break 'recs;
                 }
                 out.buf.extend_from_slice(&next);
-                out.succs.push(SuccRef { src, t });
+                out.hashes.push(hash_words(&next));
+                out.succs.push((rel, t));
             }
         }
     }
     out
+}
+
+/// Runs the driver at the speculative field width `first` and, if a
+/// field overflows that layout, once more at [`full_width`]. `open`
+/// builds the store of each attempt (`true` on the first) and may hand
+/// back the BFS tree to resume. Both attempts explore in identical BFS
+/// order, so the restart is invisible in the output.
+pub(crate) fn explore_widening<S: StateStore>(
+    stg: &Stg,
+    config: &ReachConfig,
+    first: u32,
+    mut open: impl FnMut(&PackedNet, bool) -> Result<(S, Option<BfsTree>), Abort>,
+) -> Result<Exploration, ReachError> {
+    let full = full_width(stg, config.max_tokens);
+    let mut attempt = |width: u32, first_attempt: bool| {
+        let net = PackedNet::compile(stg, config.max_tokens, width);
+        let (store, resumed) = open(&net, first_attempt)?;
+        let mut explorer = Explorer::new(stg, config, net, store, resumed)?;
+        while explorer.step_level()? {}
+        explorer.finish()
+    };
+    let result = match attempt(first.min(full), true) {
+        Err(Abort::Widen) => attempt(full, false),
+        other => other,
+    };
+    result.map_err(|abort| match abort {
+        Abort::Error(e) => e,
+        Abort::Widen => unreachable!("full-width runs cannot ask to widen"),
+    })
+}
+
+/// The in-RAM state store: every state's `[marking | mask]` record in
+/// one arena, deduplicated through an open-addressing table of record
+/// indices. A level is the run of records the previous one committed,
+/// handed out in place.
+struct RamStore {
+    stride: usize,
+    rec_words: usize,
+    records: Vec<u64>,
+    /// Record index per slot; `usize::MAX` marks an empty slot.
+    slots: Vec<usize>,
+    /// Records committed so far.
+    count: usize,
+    /// The current level's read cursor and end (record indices).
+    cursor: usize,
+    level_end: usize,
+    arcs: Arcs,
+}
+
+impl RamStore {
+    fn new(net: &PackedNet) -> RamStore {
+        let rec_words = net.words + net.t_words;
+        RamStore {
+            stride: net.words,
+            rec_words,
+            records: Vec::with_capacity(rec_words * 4096),
+            slots: vec![usize::MAX; 4096],
+            count: 0,
+            cursor: 0,
+            level_end: 0,
+            arcs: Vec::with_capacity(8192),
+        }
+    }
+
+    /// Whether record `i` holds `marking` (stride-specialized).
+    #[inline]
+    fn holds(&self, i: usize, marking: &[u64]) -> bool {
+        let at = &self.records[i * self.rec_words..];
+        match *marking {
+            [a] => at[0] == a,
+            [a, b] => at[0] == a && at[1] == b,
+            ref ws => &at[..ws.len()] == ws,
+        }
+    }
+
+    /// First probe slot of hash `h`: bit 0 of every [`hash_words`] is
+    /// set, so the slot comes from the bits above it.
+    #[inline]
+    fn home(&self, h: u64) -> usize {
+        (h >> 1) as usize & (self.slots.len() - 1)
+    }
+
+    fn grow(&mut self) {
+        let cap = self.slots.len() * 2;
+        let old = std::mem::replace(&mut self.slots, vec![usize::MAX; cap]);
+        for i in old.into_iter().filter(|&i| i != usize::MAX) {
+            let base = i * self.rec_words;
+            let mut slot = self.home(hash_words(&self.records[base..base + self.stride]));
+            while self.slots[slot] != usize::MAX {
+                slot = (slot + 1) & (cap - 1);
+            }
+            self.slots[slot] = i;
+        }
+    }
+}
+
+impl StateStore for RamStore {
+    #[inline]
+    fn intern(&mut self, marking: &[u64], h: u64) -> Result<Option<usize>, Abort> {
+        if (self.count + 1) * 3 > self.slots.len() * 2 {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(h);
+        loop {
+            match self.slots[slot] {
+                usize::MAX => {
+                    self.slots[slot] = self.count;
+                    return Ok(None);
+                }
+                i if self.holds(i, marking) => return Ok(Some(i)),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    #[inline]
+    fn commit(&mut self, marking: &[u64], mask: &[u64], id: usize) -> Result<(), Abort> {
+        debug_assert_eq!(id, self.count);
+        self.records.extend_from_slice(marking);
+        self.records.extend_from_slice(mask);
+        self.count += 1;
+        Ok(())
+    }
+
+    #[inline]
+    fn push_edge(&mut self, event: Event, dst: usize) -> Result<(), Abort> {
+        self.arcs.push((event, StateId(dst)));
+        Ok(())
+    }
+
+    fn edges(&self) -> usize {
+        self.arcs.len()
+    }
+
+    fn begin_level(&mut self) -> Result<usize, Abort> {
+        debug_assert_eq!(self.cursor, self.level_end, "previous level fully consumed");
+        self.level_end = self.count;
+        Ok(self.level_end - self.cursor)
+    }
+
+    fn next_record(&mut self, out: &mut [u64]) -> Result<bool, Abort> {
+        if self.cursor == self.level_end {
+            return Ok(false);
+        }
+        let base = self.cursor * self.rec_words;
+        out.copy_from_slice(&self.records[base..base + self.rec_words]);
+        self.cursor += 1;
+        Ok(true)
+    }
+
+    fn next_batch<R>(&mut self, f: impl FnOnce(&[u64]) -> R) -> Result<Option<R>, Abort> {
+        if self.cursor == self.level_end {
+            return Ok(None);
+        }
+        let level = &self.records[self.cursor * self.rec_words..self.level_end * self.rec_words];
+        self.cursor = self.level_end;
+        Ok(Some(f(level)))
+    }
+
+    fn finish(self) -> Result<(Arcs, Option<SpillCounters>), Abort> {
+        Ok((self.arcs, None))
+    }
+}
+
+/// Runs the token game with the in-RAM store.
+pub(crate) fn explore_packed(stg: &Stg, config: &ReachConfig) -> Result<Exploration, ReachError> {
+    // Speculate on the narrow field layout first: 1-safe nets, i.e. all
+    // of practice, quarter their arena footprint this way.
+    explore_widening(stg, config, narrow_width(stg), |net, _| Ok((RamStore::new(net), None)))
 }
 
 #[cfg(test)]
@@ -1428,6 +1610,32 @@ a- a+
     }
 
     #[test]
+    fn checkpoint_settings_need_the_spill_strategy() {
+        let stg = parse_g(RING).unwrap();
+        let dir = Some(std::path::PathBuf::from("unused-checkpoint-dir"));
+        for strategy in [ReachStrategy::Packed, ReachStrategy::Explicit, ReachStrategy::Symbolic] {
+            for config in [
+                ReachConfig {
+                    checkpoint_every: 1,
+                    checkpoint_dir: dir.clone(),
+                    ..Default::default()
+                },
+                ReachConfig { resume: dir.clone(), ..Default::default() },
+            ] {
+                match elaborate_with(&stg, &ReachConfig { strategy, ..config }) {
+                    Err(ReachError::Checkpoint { detail }) => {
+                        assert!(
+                            detail.contains("spill reachability strategy"),
+                            "{strategy}: {detail}"
+                        )
+                    }
+                    other => panic!("{strategy}: expected a checkpoint refusal, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn stats_report_visited_and_interned() {
         let stg = parse_g(RING).unwrap();
         for config in both_strategies() {
@@ -1483,6 +1691,28 @@ a- p
             .map(|sg| sg.state_count());
             assert_eq!(result, oracle, "{}", config.strategy);
         }
+    }
+
+    #[test]
+    fn hash_words_keeps_its_checkpointed_values() {
+        // Spill checkpoints persist these values (format version 1): the
+        // 1- and 2-word specializations must equal the generic fold.
+        let reference = |words: &[u64]| {
+            let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
+            for &w in words {
+                h ^= w;
+                h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                h ^= h >> 27;
+                h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+                h ^= h >> 31;
+            }
+            h | 1
+        };
+        let words = [0, 1, 0x5555_5555_5555_5555, u64::MAX, 42];
+        for len in 1..=words.len() {
+            assert_eq!(hash_words(&words[..len]), reference(&words[..len]), "{len} words");
+        }
+        assert_eq!(hash_words(&[0]), 0xd85d_1d82_3d12_cde7);
     }
 
     #[test]

@@ -649,6 +649,9 @@ fn record_snapshot(
         simap::ReachStrategy::Symbolic,
         simap::ReachStrategy::Spill,
     ];
+    // Every timing starts from the initial marking: a resumed run has
+    // already consumed its checkpoint.
+    let config = &config.to_builder().reach_resume(None).build()?;
     let mut out = String::from("{\"version\":1,\"benchmarks\":[");
     for (i, name) in names.iter().enumerate() {
         if i > 0 {
@@ -658,7 +661,12 @@ fn record_snapshot(
         let mut arcs = 0;
         let _ = write!(out, "{{\"name\":\"{name}\",\"elaborate_us\":{{");
         for (j, strategy) in strategies.iter().enumerate() {
-            let config = config.to_builder().reach_strategy(*strategy).build()?;
+            let mut builder = config.to_builder().reach_strategy(*strategy);
+            if *strategy != simap::ReachStrategy::Spill {
+                // Only spill keeps checkpoints; the others refuse the settings.
+                builder = builder.reach_checkpoint_every(0).reach_checkpoint_dir(None);
+            }
+            let config = builder.build()?;
             let start = Instant::now();
             let elaborated = Synthesis::from_benchmark(name).config(&config).elaborate()?;
             let elapsed = start.elapsed().as_micros();

@@ -329,10 +329,9 @@
 //!
 //! The 0.2 per-stage configuration setters (`Synthesis::literal_limit`,
 //! `Batch::verify`, …) were superseded in 0.3 by [`Config`] +
-//! [`Synthesis::config`] / [`Batch::config`]; they remain available as
-//! `#[deprecated]` shims with unchanged behavior for at least one minor
-//! release before removal, as does `simap::core::run_flow` (deprecated in
-//! 0.2). Algorithm primitives (`synthesize_mc`, `repair_csc`,
+//! [`Synthesis::config`] / [`Batch::config`], and `simap::core::run_flow`
+//! was deprecated in 0.2. Their `#[deprecated]` shims outlived the
+//! promised one minor release by eight and are now removed. Algorithm primitives (`synthesize_mc`, `repair_csc`,
 //! `compute_insertion`, `build_circuit`, …) are the stable substrate the
 //! pipeline is built on and are not deprecated.
 

@@ -136,6 +136,56 @@ fn cli_rejects_invalid_config_values() {
 }
 
 #[test]
+fn cli_refuses_checkpointing_without_the_spill_strategy() {
+    let dir = std::env::temp_dir().join(format!("simap-cli-ckpt-{}", std::process::id()));
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    // Packed named explicitly, then packed as the default strategy: it
+    // keeps no checkpoints, so the run is refused before anything runs
+    // or is written.
+    for strategy in [&["--strategy", "packed"][..], &[]] {
+        let mut args = vec!["check", "--bench", "half"];
+        args.extend(strategy);
+        args.extend(["--checkpoint-every", "1", "--checkpoint-dir", dir_arg]);
+        let out = simap(&args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("require the spill reachability strategy"), "{args:?}: {stderr}");
+        assert!(!dir.exists(), "{args:?} wrote a checkpoint directory");
+    }
+}
+
+#[test]
+fn cli_bench_record_keeps_spill_checkpoint_flags() {
+    // The snapshot re-times every strategy; the in-memory ones must run
+    // without the spill run's checkpoint settings instead of refusing.
+    let scratch = std::env::temp_dir().join(format!("simap-cli-record-{}", std::process::id()));
+    let ckpt = scratch.join("ckpt");
+    let record = scratch.join("snapshot.json");
+    std::fs::create_dir_all(&scratch).unwrap();
+    let out = simap(&[
+        "bench",
+        "run",
+        "half",
+        "--no-verify",
+        "--strategy",
+        "spill",
+        "--checkpoint-every",
+        "1",
+        "--checkpoint-dir",
+        ckpt.to_str().expect("utf-8 temp dir"),
+        "--record",
+        record.to_str().expect("utf-8 temp dir"),
+    ]);
+    let snapshot = std::fs::read_to_string(&record);
+    let _ = std::fs::remove_dir_all(&scratch);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let snapshot = snapshot.expect("snapshot written");
+    for strategy in ["explicit", "packed", "symbolic", "spill"] {
+        assert!(snapshot.contains(&format!("\"{strategy}\":")), "{snapshot}");
+    }
+}
+
+#[test]
 fn cli_map_json_matches_library_emitter() {
     let out = simap(&["map", "--bench", "half", "--json"]);
     assert!(out.status.success());

@@ -1,8 +1,8 @@
 //! Integration tests of the staged `Synthesis` pipeline: the typed error
 //! paths (unknown benchmark, parse failure, CSC violation with repair
-//! off, CSC repair failure, verification failure), the equivalence of the
-//! staged and one-shot drivers, observer delivery and the deprecated
-//! `run_flow` shim.
+//! off, CSC repair failure, verification failure), the one-shot driver's
+//! CSC contract, the equivalence of the staged and one-shot drivers and
+//! observer delivery.
 //!
 //! The Decompose stage starts from the Covers stage's implementation; a
 //! parity test holds it to the standalone `decompose()`.
@@ -128,6 +128,22 @@ fn run_reports_refutation_compatibly() {
     assert_eq!(report.verified, Some(false));
 }
 
+#[test]
+fn one_shot_run_keeps_csc_contract() {
+    // Repair off: the one-shot driver surfaces the conflict as the typed
+    // Covers-stage error, with the conflict list attached.
+    let err = Synthesis::from_state_graph(conflicted(SignalKind::Output)).run().unwrap_err();
+    assert!(matches!(err, Error::CscViolation { .. }), "expected CscViolation, got {err}");
+    assert_eq!(err.stage(), Stage::Covers);
+    assert!(!err.csc_conflicts().is_empty());
+
+    // Repair on and possible: the driver repairs inline and completes.
+    let repair = Config::builder().repair_csc(true).build().expect("valid config");
+    let report =
+        Synthesis::from_state_graph(conflicted(SignalKind::Output)).config(&repair).run().unwrap();
+    assert_eq!(report.verified, Some(true));
+}
+
 /// Asserts that the staged pipeline's Decompose stage, which starts from
 /// the Covers stage's implementation, reaches exactly the outcome of the
 /// standalone `decompose()`, which synthesizes its own: same steps,
@@ -197,36 +213,6 @@ fn staged_matches_one_shot_on_benchmarks() {
         assert_eq!(one_shot.verified, staged.verified, "{name}");
         assert_eq!(one_shot.initial_histogram, staged.initial_histogram, "{name}");
     }
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_run_flow_still_works() {
-    use simap::core::{run_flow, FlowConfig};
-    let stg = simap::stg::benchmark("hazard").expect("known");
-    let sg = simap::stg::elaborate(&stg).expect("elaborates");
-    let old = run_flow(&sg, &FlowConfig::with_limit(2)).expect("flow");
-    let new = Synthesis::from_state_graph(sg).run().expect("flow");
-    assert_eq!(old.inserted, new.inserted);
-    assert_eq!(old.si_cost, new.si_cost);
-    assert_eq!(old.verified, new.verified);
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_run_flow_keeps_csc_contract() {
-    use simap::core::{run_flow, FlowConfig, McError};
-    // Repair off: the CSC conflict arrives as the old McError.
-    let sg = conflicted(SignalKind::Output);
-    let err = run_flow(&sg, &FlowConfig::with_limit(2)).unwrap_err();
-    assert!(matches!(err, McError::CscConflict { .. }));
-
-    // Repair on and possible: the shim repairs and completes, as the old
-    // entry point did.
-    let mut config = FlowConfig::with_limit(2);
-    config.repair_csc = true;
-    let report = run_flow(&sg, &config).expect("repairs and flows");
-    assert_eq!(report.verified, Some(true));
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! Acceptance tests for the external-memory spill engine beyond the
 //! differential harness: a pattern-composed net past the symbolic
 //! materialize limit elaborating under a bounded resident budget,
-//! scratch-file hygiene on success, error and panic exit paths, and the
+//! scratch-file hygiene on success, error and panic exit paths, the
+//! refusal of checkpoint settings by the in-memory strategies, and the
 //! checkpoint/resume contract proven the hard way — a child `simap
 //! check` SIGKILLed mid-exploration, resumed in-process, and held to
 //! state-for-state parity with a cold run.
@@ -122,6 +123,30 @@ fn spill_dir_is_empty_after_state_limit_error() {
     let err = elaborate_with(&stg, &config).expect_err("limit must trip");
     assert!(matches!(err, ReachError::StateLimit { limit: 2048, .. }), "{err:?}");
     assert_eq!(scratch.entries(), Vec::<PathBuf>::new(), "scratch files leaked on error");
+}
+
+/// Checkpoint and resume settings are a capability of the spill store:
+/// the in-memory strategies refuse them up front instead of silently
+/// running without durability.
+#[test]
+fn in_memory_strategies_refuse_checkpoint_settings() {
+    let scratch = ScratchDir::new("refuse");
+    let stg = benchmark("half").expect("known benchmark");
+    for strategy in [ReachStrategy::Packed, ReachStrategy::Explicit, ReachStrategy::Symbolic] {
+        let checkpointing = ReachConfig {
+            strategy,
+            checkpoint_every: 1,
+            checkpoint_dir: Some(scratch.0.clone()),
+            ..ReachConfig::default()
+        };
+        let resuming =
+            ReachConfig { strategy, resume: Some(scratch.0.clone()), ..ReachConfig::default() };
+        for config in [checkpointing, resuming] {
+            let err = elaborate_with(&stg, &config).expect_err("must be refused");
+            assert!(matches!(err, ReachError::Checkpoint { .. }), "{strategy}: {err:?}");
+        }
+    }
+    assert_eq!(scratch.entries(), Vec::<PathBuf>::new(), "a refused run wrote files");
 }
 
 /// A composed net big and slow enough (under a floor budget) that a
