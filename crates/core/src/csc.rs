@@ -29,7 +29,10 @@ pub struct CscConflict {
     pub code: u64,
 }
 
-/// Finds all CSC conflicts of a state graph.
+/// Finds all CSC conflicts of a state graph, in
+/// [`simap_sg::check_csc`]'s order: by ascending code, then ascending
+/// state id. Each conflict pairs the lowest state of its code with a
+/// state that enables different non-input events.
 pub fn csc_conflicts(sg: &StateGraph) -> Vec<CscConflict> {
     check_csc(sg)
         .into_iter()

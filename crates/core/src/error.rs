@@ -78,7 +78,8 @@ pub enum Error {
         signal: String,
         /// The shared code of the first conflict.
         code: u64,
-        /// Every conflicting state pair of the specification.
+        /// Every conflicting state pair of the specification, by
+        /// ascending code.
         conflicts: Vec<CscConflict>,
     },
     /// CSC repair was requested but no legal state-signal insertion
@@ -113,7 +114,9 @@ impl Error {
         }
     }
 
-    /// The CSC conflicts attached to this error, when it carries any.
+    /// The CSC conflicts attached to this error, when it carries any, in
+    /// [`crate::csc_conflicts`]'s order: by ascending code, then
+    /// ascending state id.
     pub fn csc_conflicts(&self) -> &[CscConflict] {
         match self {
             Error::CscViolation { conflicts, .. } | Error::CscRepairFailed { conflicts, .. } => {

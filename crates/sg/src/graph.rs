@@ -46,6 +46,13 @@ pub enum BuildSgError {
     /// [`StateGraph::from_grouped_arcs`] was fed arcs not grouped by
     /// source state.
     UngroupedArcs,
+    /// The initial state or an arc endpoint is not a state of the graph.
+    StateOutOfRange {
+        /// The offending state id.
+        state: StateId,
+        /// The number of states of the graph.
+        states: usize,
+    },
 }
 
 impl fmt::Display for BuildSgError {
@@ -56,6 +63,9 @@ impl fmt::Display for BuildSgError {
             BuildSgError::Empty => write!(f, "state graph has no states"),
             BuildSgError::UngroupedArcs => {
                 write!(f, "from_grouped_arcs requires arcs grouped by ascending source state")
+            }
+            BuildSgError::StateOutOfRange { state, states } => {
+                write!(f, "state {} out of range for a graph of {states} states", state.0)
             }
         }
     }
@@ -155,12 +165,18 @@ impl StateGraphBuilder {
     /// Finishes the graph with `initial` as initial state.
     ///
     /// # Errors
-    /// Fails if no state was added.
+    /// Fails if no state was added, or if `initial` or an arc endpoint is
+    /// not one of the added states.
     pub fn build(self, initial: StateId) -> Result<StateGraph, BuildSgError> {
         if self.codes.is_empty() {
             return Err(BuildSgError::Empty);
         }
         let n = self.codes.len();
+        check_state(initial, n)?;
+        for &(src, _, dst) in &self.arcs {
+            check_state(src, n)?;
+            check_state(dst, n)?;
+        }
         let (succ_off, succ_arcs) = csr(n, &self.arcs, |&(src, ev, dst)| (src.0, (ev, dst)));
         let (pred_off, pred_arcs) = csr(n, &self.arcs, |&(src, ev, dst)| (dst.0, (ev, src)));
         Ok(StateGraph {
@@ -173,6 +189,15 @@ impl StateGraphBuilder {
             initial,
             name: self.name,
         })
+    }
+}
+
+/// Fails with [`BuildSgError::StateOutOfRange`] unless `state < states`.
+fn check_state(state: StateId, states: usize) -> Result<(), BuildSgError> {
+    if state.0 < states {
+        Ok(())
+    } else {
+        Err(BuildSgError::StateOutOfRange { state, states })
     }
 }
 
@@ -271,9 +296,10 @@ impl StateGraph {
     /// deduplicated per state — at a fraction of the allocation traffic.
     ///
     /// # Errors
-    /// The [`StateGraphBuilder::new`] validations, plus
-    /// [`BuildSgError::UngroupedArcs`] when the stream violates the
-    /// grouping precondition.
+    /// The [`StateGraphBuilder::new`] validations,
+    /// [`BuildSgError::StateOutOfRange`] when `initial` or an arc endpoint
+    /// is not below `codes.len()`, and [`BuildSgError::UngroupedArcs`] when
+    /// the stream violates the grouping precondition.
     pub fn from_grouped_arcs(
         name: impl Into<String>,
         signals: Vec<Signal>,
@@ -287,12 +313,20 @@ impl StateGraph {
         let mut flat: Vec<(Event, StateId)> = Vec::with_capacity(arcs.size_hint().0);
         let mut last_src = 0usize;
         let mut unsorted = false;
+        let mut out_of_range = None;
         flat.extend(arcs.map(|(src, ev, dst)| {
             unsorted |= src.0 < last_src;
             last_src = src.0;
-            succ_off[src.0 + 1] += 1;
+            if src.0 < n {
+                succ_off[src.0 + 1] += 1;
+            } else {
+                out_of_range.get_or_insert(src);
+            }
             (ev, dst)
         }));
+        if let Some(state) = out_of_range {
+            return Err(BuildSgError::StateOutOfRange { state, states: n });
+        }
         if unsorted {
             return Err(BuildSgError::UngroupedArcs);
         }
@@ -309,10 +343,11 @@ impl StateGraph {
     /// the graph the equivalent [`StateGraphBuilder`] sequence would.
     ///
     /// # Errors
-    /// The [`StateGraphBuilder::new`] validations, plus
+    /// The [`StateGraphBuilder::new`] validations,
     /// [`BuildSgError::UngroupedArcs`] when `succ_off` is not a monotone
     /// cover of `arcs` (wrong length, decreasing, or not ending at
-    /// `arcs.len()`).
+    /// `arcs.len()`), and [`BuildSgError::StateOutOfRange`] when `initial`
+    /// or an arc target is not below `codes.len()`.
     pub fn from_csr_parts(
         name: impl Into<String>,
         signals: Vec<Signal>,
@@ -326,6 +361,7 @@ impl StateGraph {
             return Err(BuildSgError::Empty);
         }
         let n = codes.len();
+        check_state(initial, n)?;
         if succ_off.len() != n + 1
             || succ_off[0] != 0
             || succ_off[n] != arcs.len()
@@ -334,14 +370,23 @@ impl StateGraph {
             return Err(BuildSgError::UngroupedArcs);
         }
         // The successor sort pass doubles as the predecessor degree
-        // count (each segment is cache-hot right after its sort).
+        // count and the target range check (each segment is cache-hot
+        // right after its sort).
         let before = arcs.len();
         let mut pred_off = vec![0usize; n + 1];
+        let mut out_of_range = None;
         let (succ_off, succ_arcs) = sort_and_compact(n, succ_off, arcs, |seg| {
             for &(_, dst) in seg {
-                pred_off[dst.0 + 1] += 1;
+                if dst.0 < n {
+                    pred_off[dst.0 + 1] += 1;
+                } else {
+                    out_of_range.get_or_insert(dst);
+                }
             }
         });
+        if let Some(state) = out_of_range {
+            return Err(BuildSgError::StateOutOfRange { state, states: n });
+        }
         if succ_arcs.len() != before {
             // Duplicates were compacted away after the count: redo it.
             pred_off.iter_mut().for_each(|c| *c = 0);
@@ -456,14 +501,6 @@ impl StateGraph {
         evs.sort();
         evs.dedup();
         evs
-    }
-
-    /// Output/internal events enabled at `s` (used by the CSC check).
-    pub fn enabled_non_input_events(&self, s: StateId) -> Vec<Event> {
-        self.enabled_events(s)
-            .into_iter()
-            .filter(|e| self.signals[e.signal.0].kind.is_implementable())
-            .collect()
     }
 
     /// Looks a signal up by name.
@@ -674,6 +711,59 @@ mod tests {
         assert_eq!(b.state_for_code(0b1), s1, "new state is remembered");
         let s2 = b.add_state(0b10);
         assert_eq!(b.state_for_code(0b10), s2, "post-index additions are indexed too");
+    }
+
+    fn one_signal() -> Vec<Signal> {
+        vec![Signal::new("a", SignalKind::Input)]
+    }
+
+    #[test]
+    fn build_rejects_out_of_range_states() {
+        let two_states = || {
+            let mut b = StateGraphBuilder::new("range", one_signal()).unwrap();
+            b.add_states([0b0, 0b1]);
+            b
+        };
+        let out_of_range = |state| Err(BuildSgError::StateOutOfRange { state, states: 2 });
+        assert_eq!(two_states().build(StateId(7)).map(|_| ()), out_of_range(StateId(7)));
+        let mut b = two_states();
+        b.add_arc(StateId(0), Event::rise(SignalId(0)), StateId(2));
+        assert_eq!(b.build(StateId(0)).map(|_| ()), out_of_range(StateId(2)));
+        let mut b = two_states();
+        b.add_arc(StateId(5), Event::fall(SignalId(0)), StateId(0));
+        assert_eq!(b.build(StateId(0)).map(|_| ()), out_of_range(StateId(5)));
+    }
+
+    #[test]
+    fn from_grouped_arcs_rejects_out_of_range_states() {
+        let build = |initial, arcs: [(StateId, Event, StateId); 1]| {
+            StateGraph::from_grouped_arcs("range", one_signal(), vec![0b0, 0b1], initial, arcs)
+                .map(|_| ())
+        };
+        let rise = Event::rise(SignalId(0));
+        let out_of_range = |state| Err(BuildSgError::StateOutOfRange { state, states: 2 });
+        assert_eq!(build(StateId(0), [(StateId(2), rise, StateId(1))]), out_of_range(StateId(2)));
+        assert_eq!(build(StateId(0), [(StateId(0), rise, StateId(3))]), out_of_range(StateId(3)));
+        assert_eq!(build(StateId(4), [(StateId(0), rise, StateId(1))]), out_of_range(StateId(4)));
+    }
+
+    #[test]
+    fn from_csr_parts_rejects_out_of_range_states() {
+        let build = |initial, target| {
+            StateGraph::from_csr_parts(
+                "range",
+                one_signal(),
+                vec![0b0, 0b1],
+                initial,
+                vec![0, 1, 1],
+                vec![(Event::rise(SignalId(0)), target)],
+            )
+            .map(|_| ())
+        };
+        let out_of_range = |state| Err(BuildSgError::StateOutOfRange { state, states: 2 });
+        assert_eq!(build(StateId(0), StateId(2)), out_of_range(StateId(2)));
+        assert_eq!(build(StateId(2), StateId(1)), out_of_range(StateId(2)));
+        assert_eq!(build(StateId(0), StateId(1)), Ok(()));
     }
 
     #[test]

@@ -1,10 +1,33 @@
 //! Implementability properties of state graphs (§2.1): consistency,
 //! determinism, commutativity, output persistency and Complete State
 //! Coding.
+//!
+//! # Event masks
+//!
+//! Output persistency and CSC read one precomputed `u128` per state: the
+//! set of events enabled there. Event `e` owns bit `2·signal + rising`,
+//! so `a-` sits just below `a+` and the bit order is [`Event`]'s order;
+//! 64 signals fill the 128 bits exactly. [`check_all`] builds the masks
+//! once for both; each `check_*` builds only what it needs.
+//!
+//! Commutativity (and [`crate::diamonds`]) index the same event positions
+//! into a per-state table instead: each state's distinct events get
+//! slots, one pass over each successor's arcs records where it fires
+//! them, and a pair of events costs two table reads rather than two arc
+//! scans.
+//!
+//! # Violation order
+//!
+//! The order is part of the contract. [`check_all`] reports one block per
+//! check, in the order consistency, determinism, commutativity, output
+//! persistency, CSC, reachability. Within a block, violations come by
+//! ascending state id and then in the state's arc order (ascending
+//! event). CSC conflicts come by ascending code; within a code, each
+//! state that disagrees with the code's lowest state id comes in
+//! ascending id.
 
 use crate::graph::{StateGraph, StateId};
-use crate::signal::Event;
-use std::collections::HashMap;
+use crate::signal::{Event, SignalId};
 use std::fmt;
 
 /// A violation of one of the SG properties, with enough context to debug a
@@ -121,6 +144,111 @@ impl PropertyReport {
     }
 }
 
+/// Position of `e` in an event mask: `2·signal + rising`.
+fn event_index(e: Event) -> usize {
+    2 * e.signal.0 + usize::from(e.rising)
+}
+
+/// Bit of `e` in an event mask.
+fn event_bit(e: Event) -> u128 {
+    1 << event_index(e)
+}
+
+/// Both event bits of `signal`.
+fn signal_bits(signal: SignalId) -> u128 {
+    0b11 << (2 * signal.0)
+}
+
+/// The events of `mask`, in ascending bit (= [`Event`]) order.
+fn events_of(mut mask: u128) -> impl Iterator<Item = Event> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let bit = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        Some(Event { signal: SignalId(bit / 2), rising: bit % 2 == 1 })
+    })
+}
+
+/// The mask of events enabled at each state, indexed by state id.
+fn event_masks(sg: &StateGraph) -> Vec<u128> {
+    sg.states().map(|s| sg.succ(s).iter().fold(0, |m, &(e, _)| m | event_bit(e))).collect()
+}
+
+/// The event bits of every output and internal signal.
+fn non_input_mask(sg: &StateGraph) -> u128 {
+    sg.signals()
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.kind.is_implementable())
+        .fold(0, |m, (i, _)| m | signal_bits(SignalId(i)))
+}
+
+/// Walks every two-step interleaving of the graph: for each state `s` and
+/// each pair of its arcs `s -a-> sa`, `s -b-> sb` (arc order, `a != b`)
+/// where `b` is enabled at `sa` and `a` at `sb`, calls
+/// `visit(s, (a, sa), (b, sb), fire(sa, b), fire(sb, a))`, `fire` being
+/// [`StateGraph::fire`]. Commutativity and [`crate::diamonds`] are the
+/// two readings of this one walk.
+///
+/// Per state, the distinct events of `s` get slots, and one pass over
+/// each successor's arcs records that successor's first target for every
+/// slotted event, so a pair costs two table reads.
+pub(crate) fn for_each_two_step(
+    sg: &StateGraph,
+    mut visit: impl FnMut(StateId, (Event, StateId), (Event, StateId), StateId, StateId),
+) {
+    // Slot + 1 of each event of `s`, by event index; 0 when `s` lacks it.
+    // At most 128 events, so a slot fits a byte.
+    let mut slot_of_event = [0u8; 128];
+    let mut arc_slot: Vec<usize> = Vec::new();
+    // `fired[k * width + slot]`: the k-th successor's target for the
+    // slot's event.
+    let mut fired: Vec<Option<StateId>> = Vec::new();
+    for s in sg.states() {
+        let succ = sg.succ(s);
+        if succ.len() < 2 {
+            continue;
+        }
+        arc_slot.clear();
+        let mut width = 0;
+        for &(e, _) in succ {
+            let slot = &mut slot_of_event[event_index(e)];
+            if *slot == 0 {
+                width += 1;
+                *slot = width;
+            }
+            arc_slot.push(usize::from(*slot - 1));
+        }
+        let width = usize::from(width);
+        fired.clear();
+        fired.resize(succ.len() * width, None);
+        for (row, &(_, next)) in fired.chunks_exact_mut(width).zip(succ) {
+            for &(e, t) in sg.succ(next) {
+                let slot = slot_of_event[event_index(e)];
+                if slot != 0 {
+                    row[usize::from(slot - 1)].get_or_insert(t);
+                }
+            }
+        }
+        for (i, &(a, sa)) in succ.iter().enumerate() {
+            for (j, &(b, sb)) in succ.iter().enumerate().skip(i + 1) {
+                if a == b {
+                    continue;
+                }
+                let (ab, ba) = (fired[i * width + arc_slot[j]], fired[j * width + arc_slot[i]]);
+                if let (Some(ab), Some(ba)) = (ab, ba) {
+                    visit(s, (a, sa), (b, sb), ab, ba);
+                }
+            }
+        }
+        for &(e, _) in succ {
+            slot_of_event[event_index(e)] = 0;
+        }
+    }
+}
+
 /// Checks labeling consistency: along every arc exactly the fired signal
 /// toggles, with the polarity announced by the event.
 pub fn check_consistency(sg: &StateGraph) -> Vec<PropertyViolation> {
@@ -140,18 +268,15 @@ pub fn check_consistency(sg: &StateGraph) -> Vec<PropertyViolation> {
     out
 }
 
-/// Checks determinism: at most one target per (state, event).
+/// Checks determinism: at most one target per (state, event). Each arc
+/// that repeats the previous arc's event is reported (arcs are sorted and
+/// deduplicated, so repeats are adjacent and lead elsewhere).
 pub fn check_determinism(sg: &StateGraph) -> Vec<PropertyViolation> {
     let mut out = Vec::new();
     for s in sg.states() {
-        let mut seen: HashMap<Event, StateId> = HashMap::new();
-        for &(e, t) in sg.succ(s) {
-            if let Some(&prev) = seen.get(&e) {
-                if prev != t {
-                    out.push(PropertyViolation::NonDeterministic { state: s, event: e });
-                }
-            } else {
-                seen.insert(e, t);
+        for pair in sg.succ(s).windows(2) {
+            if pair[0].0 == pair[1].0 {
+                out.push(PropertyViolation::NonDeterministic { state: s, event: pair[1].0 });
             }
         }
     }
@@ -162,44 +287,36 @@ pub fn check_determinism(sg: &StateGraph) -> Vec<PropertyViolation> {
 /// executable from a state, they must reach the same state.
 pub fn check_commutativity(sg: &StateGraph) -> Vec<PropertyViolation> {
     let mut out = Vec::new();
-    for s in sg.states() {
-        let succ = sg.succ(s);
-        for (i, &(a, sa)) in succ.iter().enumerate() {
-            for &(b, sb) in &succ[i + 1..] {
-                if a == b {
-                    continue;
-                }
-                let ab = sg.fire(sa, b);
-                let ba = sg.fire(sb, a);
-                if let (Some(t1), Some(t2)) = (ab, ba) {
-                    if t1 != t2 {
-                        out.push(PropertyViolation::NonCommutative {
-                            state: s,
-                            first: a,
-                            second: b,
-                        });
-                    }
-                }
-            }
+    for_each_two_step(sg, |state, (first, _), (second, _), ab, ba| {
+        if ab != ba {
+            out.push(PropertyViolation::NonCommutative { state, first, second });
         }
-    }
+    });
     out
 }
 
 /// Checks output persistency: an enabled non-input event stays enabled
 /// after any *other* event fires (one-step check suffices by induction).
 pub fn check_output_persistency(sg: &StateGraph) -> Vec<PropertyViolation> {
+    output_persistency(sg, &event_masks(sg), non_input_mask(sg))
+}
+
+fn output_persistency(sg: &StateGraph, masks: &[u128], non_input: u128) -> Vec<PropertyViolation> {
     let mut out = Vec::new();
     for s in sg.states() {
-        for e in sg.enabled_non_input_events(s) {
-            for &(other, t) in sg.succ(s) {
-                if other == e || other.signal == e.signal {
-                    continue;
-                }
-                if !sg.enabled(t, e) {
+        let enabled = masks[s.0] & non_input;
+        let succ = sg.succ(s);
+        // Events of other signals that some successor no longer enables.
+        let lost = succ
+            .iter()
+            .fold(0, |lost, &(other, t)| lost | enabled & !masks[t.0] & !signal_bits(other.signal));
+        for event in events_of(lost) {
+            let bit = event_bit(event);
+            for &(other, t) in succ {
+                if other.signal != event.signal && masks[t.0] & bit == 0 {
                     out.push(PropertyViolation::NonPersistent {
                         state: s,
-                        event: e,
+                        event,
                         disabled_by: other,
                     });
                 }
@@ -210,21 +327,22 @@ pub fn check_output_persistency(sg: &StateGraph) -> Vec<PropertyViolation> {
 }
 
 /// Checks Complete State Coding: states with equal codes enable the same
-/// set of non-input events.
+/// set of non-input events. Each state that disagrees with the lowest
+/// state of its code is reported, by ascending code and then state id.
 pub fn check_csc(sg: &StateGraph) -> Vec<PropertyViolation> {
-    let mut by_code: HashMap<u64, Vec<StateId>> = HashMap::new();
-    for s in sg.states() {
-        by_code.entry(sg.code(s)).or_default().push(s);
-    }
+    csc(sg, &event_masks(sg), non_input_mask(sg))
+}
+
+fn csc(sg: &StateGraph, masks: &[u128], non_input: u128) -> Vec<PropertyViolation> {
+    let mut by_code: Vec<(u64, usize)> = sg.states().map(|s| (sg.code(s), s.0)).collect();
+    by_code.sort_unstable();
     let mut out = Vec::new();
-    for (code, states) in by_code {
-        if states.len() < 2 {
-            continue;
-        }
-        let reference = sg.enabled_non_input_events(states[0]);
-        for &s in &states[1..] {
-            if sg.enabled_non_input_events(s) != reference {
-                out.push(PropertyViolation::CscConflict { a: states[0], b: s, code });
+    for run in by_code.chunk_by(|x, y| x.0 == y.0) {
+        let (code, first) = run[0];
+        let reference = masks[first] & non_input;
+        for &(_, s) in &run[1..] {
+            if masks[s] & non_input != reference {
+                out.push(PropertyViolation::CscConflict { a: StateId(first), b: StateId(s), code });
             }
         }
     }
@@ -251,14 +369,16 @@ pub fn check_reachability(sg: &StateGraph) -> Vec<PropertyViolation> {
         .collect()
 }
 
-/// Runs every check and aggregates the violations.
+/// Runs every check over one set of event masks and aggregates the
+/// violations, in the order the module documentation gives.
 pub fn check_all(sg: &StateGraph) -> PropertyReport {
-    let mut violations = Vec::new();
-    violations.extend(check_consistency(sg));
+    let masks = event_masks(sg);
+    let non_input = non_input_mask(sg);
+    let mut violations = check_consistency(sg);
     violations.extend(check_determinism(sg));
     violations.extend(check_commutativity(sg));
-    violations.extend(check_output_persistency(sg));
-    violations.extend(check_csc(sg));
+    violations.extend(output_persistency(sg, &masks, non_input));
+    violations.extend(csc(sg, &masks, non_input));
     violations.extend(check_reachability(sg));
     PropertyReport { violations }
 }
@@ -410,6 +530,34 @@ mod tests {
         let v = check_csc(&g);
         assert_eq!(v.len(), 1);
         assert!(matches!(v[0], PropertyViolation::CscConflict { code: 0, .. }));
+    }
+
+    #[test]
+    fn csc_conflicts_come_by_code_then_state() {
+        // Codes 3, 2, 1, 0 twice over, then code 1 twice more; the later
+        // state of each code enables b-/b+ (its lowest state enables
+        // nothing), except state 8, which agrees with state 2.
+        let mut b = StateGraphBuilder::new(
+            "order",
+            vec![sig("a", SignalKind::Input), sig("b", SignalKind::Output)],
+        )
+        .unwrap();
+        let codes = [3, 2, 1, 0, 3, 2, 1, 0, 1, 1];
+        let s: Vec<StateId> = codes.iter().map(|&code| b.add_state(code)).collect();
+        let bb = SignalId(1);
+        for k in (4..codes.len()).filter(|&k| k != 8) {
+            let event = if codes[k] & 0b10 == 0 { Event::rise(bb) } else { Event::fall(bb) };
+            b.add_arc(s[k], event, s[0]);
+        }
+        let g = b.build(s[0]).unwrap();
+        let got: Vec<(u64, usize, usize)> = check_csc(&g)
+            .into_iter()
+            .map(|v| match v {
+                PropertyViolation::CscConflict { a, b, code } => (code, a.0, b.0),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(got, vec![(0, 3, 7), (1, 2, 6), (1, 2, 9), (2, 1, 5), (3, 0, 4)]);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! state diamonds.
 
 use crate::graph::{StateGraph, StateId};
+use crate::properties::for_each_two_step;
 use crate::signal::Event;
 use crate::stateset::StateSet;
 
@@ -169,21 +170,11 @@ pub struct Diamond {
 /// reported once per bottom state.
 pub fn diamonds(sg: &StateGraph) -> Vec<Diamond> {
     let mut out = Vec::new();
-    for s in sg.states() {
-        let succ = sg.succ(s);
-        for (i, &(a, sa)) in succ.iter().enumerate() {
-            for &(b, sb) in &succ[i + 1..] {
-                if a == b {
-                    continue;
-                }
-                if let (Some(t1), Some(t2)) = (sg.fire(sa, b), sg.fire(sb, a)) {
-                    if t1 == t2 {
-                        out.push(Diamond { s, sa, sb, t: t1, a, b });
-                    }
-                }
-            }
+    for_each_two_step(sg, |s, (a, sa), (b, sb), ab, ba| {
+        if ab == ba {
+            out.push(Diamond { s, sa, sb, t: ab, a, b });
         }
-    }
+    });
     out
 }
 

@@ -232,3 +232,27 @@ fn cli_bench_run_parallel_output_is_identical_to_sequential() {
     assert!(!sequential.stdout.is_empty());
     assert_eq!(sequential.stdout, parallel.stdout, "parallel output must be byte-identical");
 }
+
+#[test]
+fn cli_check_lists_csc_conflicts_by_ascending_code() {
+    // a+ b+ b- a- b+ a+ a- b- over two outputs: each of the four codes is
+    // visited twice with different enabled outputs, so all four conflict.
+    let spec = ".model csc4\n.outputs a b\n.graph\n\
+                a+/1 b+/1\nb+/1 b-/1\nb-/1 a-/1\na-/1 b+/2\n\
+                b+/2 a+/2\na+/2 a-/2\na-/2 b-/2\nb-/2 a+/1\n\
+                .marking { <b-/2,a+/1> }\n.end\n";
+    let path = std::env::temp_dir().join(format!("simap-cli-csc4-{}.g", std::process::id()));
+    std::fs::write(&path, spec).expect("temp spec");
+    let run = || simap(&["check", path.to_str().expect("utf-8 temp path")]);
+    let (first, second) = (run(), run());
+    let _ = std::fs::remove_file(&path);
+    assert!(!first.status.success(), "a CSC violation fails the check");
+    assert_eq!(first.stdout, second.stdout, "the report is deterministic");
+    let stdout = String::from_utf8_lossy(&first.stdout);
+    let codes: Vec<u64> = stdout
+        .lines()
+        .filter_map(|line| line.split_once("(code ")?.1.strip_suffix(')'))
+        .map(|bits| u64::from_str_radix(bits, 2).expect("binary code"))
+        .collect();
+    assert_eq!(codes, vec![0, 1, 2, 3], "{stdout}");
+}
