@@ -7,10 +7,12 @@
 //!
 //! Cube/cover functions are defined over at most [`cube::MAX_VARS`] (= 64)
 //! variables, which comfortably covers the asynchronous-benchmark state
-//! graphs the mapper targets. The [`bdd`] manager goes further
-//! ([`bdd::MAX_BDD_VARS`]) and ships the symbolic model-checking
-//! primitives — relational product, set quantification, variable renaming
-//! and set-restricted counting — used by the symbolic reachability engine.
+//! graphs the mapper targets. The [`bdd`] manager, an ROBDD package
+//! under the fixed order `x0 < x1 < …` whose nodes live as long as the
+//! manager, goes further ([`bdd::MAX_BDD_VARS`]) and ships the symbolic
+//! model-checking primitives — relational product, set quantification,
+//! variable renaming and set-restricted counting — used by the symbolic
+//! reachability engine.
 //!
 //! ```
 //! use simap_boolean::{Cover, Cube, Literal, algebraic_divide};

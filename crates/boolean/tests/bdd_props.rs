@@ -185,114 +185,32 @@ proptest! {
         prop_assert!(Table::of_cover(&f).exists_mask(mask).matches(&bdd, r));
     }
 
-    /// Mark-and-sweep keeps every root (and protected ref) pointwise
-    /// intact, keeps canonicity (rebuilding a live function finds the
-    /// same node), and actually frees the garbage it claims to.
+    /// Variables the manager never created cannot occur in any node:
+    /// restriction and quantification over them return the input (the
+    /// plain conjunction for `and_exists`) without creating a node, and
+    /// each one padded onto a counting set doubles the count.
     #[test]
-    fn gc_preserves_live_functions(f in arb_cover(), g in arb_cover(), h in arb_cover()) {
-        let mut bdd = Bdd::new();
-        let (rf, rg) = (bdd.from_cover(&f), bdd.from_cover(&g));
-        let and = bdd.and(rf, rg);
-        // Garbage: a pile of intermediates no root will keep alive.
-        let rh = bdd.from_cover(&h);
-        let dead = bdd.xor(rh, and);
-        bdd.ite(dead, rh, rf);
-        bdd.protect(rg);
-        let live_before = bdd.stats().live_nodes;
-        let collected = bdd.gc(&[rf, and]);
-        let stats = bdd.stats();
-        prop_assert_eq!(stats.live_nodes + collected, live_before);
-        let (tf, tg) = (Table::of_cover(&f), Table::of_cover(&g));
-        prop_assert!(tf.matches(&bdd, rf));
-        prop_assert!(tg.matches(&bdd, rg), "protected ref survives");
-        prop_assert!(tf.zip(&tg, |a, b| a && b).matches(&bdd, and));
-        // The unique table still canonicalizes into the survivors.
-        prop_assert_eq!(bdd.from_cover(&f), rf);
-        prop_assert_eq!(bdd.and(rf, rg), and);
-        bdd.unprotect(rg);
-    }
-
-    /// Watermark-triggered collection fires on its own and never
-    /// disturbs the protected working set.
-    #[test]
-    fn gc_watermark_fires_without_corrupting_roots(f in arb_cover(), g in arb_cover()) {
-        let mut bdd = Bdd::new();
-        bdd.set_gc_watermark(Some(8));
-        // Protect each root the moment it exists: with the watermark
-        // armed, any unprotected ref can die at the next operation entry.
-        let rf = bdd.from_cover(&f);
-        bdd.protect(rf);
-        let rg = bdd.from_cover(&g);
-        bdd.protect(rg);
-        // Churn: transient conjunctions of restrictions, garbage once
-        // each iteration ends. Per the watermark contract, every ref
-        // held across an operation is protected for exactly that long.
-        for var in 0..N {
-            let a = bdd.restrict(rf, var, true);
-            bdd.protect(a);
-            let b = bdd.restrict(rg, var, false);
-            bdd.protect(b);
-            bdd.and(a, b);
-            bdd.unprotect(a);
-            bdd.unprotect(b);
-        }
-        bdd.or(rf, rg); // one more entry so the last batch of garbage is seen
-        let stats = bdd.stats();
-        prop_assert!(
-            stats.gc_runs >= 1 || stats.live_nodes <= 8,
-            "watermark of 8 must trigger once live nodes exceed it (stats: {stats:?})"
-        );
-        prop_assert!(Table::of_cover(&f).matches(&bdd, rf));
-        prop_assert!(Table::of_cover(&g).matches(&bdd, rg));
-    }
-
-    /// An explicit permutation of the variable order changes no
-    /// function: refs stay valid, evaluation and counts are unchanged,
-    /// and results computed before and after the reorder coincide.
-    #[test]
-    fn reorder_is_function_invariant(
+    fn never_created_variables_are_inert(
         f in arb_cover(),
         g in arb_cover(),
-        picks in proptest::collection::vec(0usize..N, 0..N),
+        var in N..2 * N,
+        pad in 1usize..N,
     ) {
-        let mut order = Vec::new();
-        for v in picks {
-            if !order.contains(&v) {
-                order.push(v);
-            }
-        }
         let mut bdd = Bdd::new();
         let (rf, rg) = (bdd.from_cover(&f), bdd.from_cover(&g));
-        let before = bdd.and(rf, rg);
-        let count_before = bdd.sat_count(rf, N);
-        bdd.reorder(&order);
-        let (tf, tg) = (Table::of_cover(&f), Table::of_cover(&g));
-        prop_assert!(tf.matches(&bdd, rf));
-        prop_assert!(tg.matches(&bdd, rg));
-        prop_assert_eq!(bdd.sat_count(rf, N), count_before);
-        prop_assert!(tf.zip(&tg, |a, b| a && b).matches(&bdd, before));
-        prop_assert_eq!(bdd.and(rf, rg), before, "same function, same node");
-        prop_assert!(bdd.stats().reorders >= 1);
-    }
-
-    /// Sifting — GC plus a greedy search over all orders — is likewise
-    /// invisible to every function it was given as a root.
-    #[test]
-    fn sifting_is_function_invariant(f in arb_cover(), g in arb_cover()) {
-        let mut bdd = Bdd::new();
-        let (rf, rg) = (bdd.from_cover(&f), bdd.from_cover(&g));
-        let both = bdd.xor(rf, rg);
-        let count_before = bdd.sat_count(both, N);
-        bdd.sift(&[rf, rg, both]);
-        let (tf, tg) = (Table::of_cover(&f), Table::of_cover(&g));
-        prop_assert!(tf.matches(&bdd, rf));
-        prop_assert!(tg.matches(&bdd, rg));
-        prop_assert!(tf.zip(&tg, |a, b| a != b).matches(&bdd, both));
-        prop_assert_eq!(bdd.sat_count(both, N), count_before);
-        // And the manager still computes correctly in the found order.
-        let and = bdd.and(rf, rg);
-        prop_assert!(tf.zip(&tg, |a, b| a && b).matches(&bdd, and));
-        prop_assert!(bdd.stats().reorders >= 1);
+        let conj = bdd.and(rf, rg);
+        let unseen: VarSet = (N..N + pad).collect();
+        let nodes = bdd.node_count();
+        prop_assert_eq!(bdd.restrict(rf, var, true), rf);
+        prop_assert_eq!(bdd.restrict(rf, var, false), rf);
+        prop_assert_eq!(bdd.exists(rf, var), rf);
+        prop_assert_eq!(bdd.forall(rf, var), rf);
+        prop_assert!(!bdd.depends_on(rf, var));
+        prop_assert_eq!(bdd.exists_set(rf, &unseen), rf);
+        prop_assert_eq!(bdd.and_exists(rf, rg, &unseen), conj);
+        prop_assert_eq!(bdd.node_count(), nodes, "no node is created");
+        let padded: VarSet = (0..N + pad).collect();
+        prop_assert_eq!(bdd.sat_count_set(rf, &padded), Table::of_cover(&f).count() << pad);
     }
 
     /// Renaming along the interleave map `v → 2v` relocates every input

@@ -53,6 +53,13 @@ pub enum BuildSgError {
         /// The number of states of the graph.
         states: usize,
     },
+    /// An arc's event names a signal the graph does not have.
+    SignalOutOfRange {
+        /// The offending signal id.
+        signal: SignalId,
+        /// The number of signals of the graph.
+        signals: usize,
+    },
 }
 
 impl fmt::Display for BuildSgError {
@@ -66,6 +73,9 @@ impl fmt::Display for BuildSgError {
             }
             BuildSgError::StateOutOfRange { state, states } => {
                 write!(f, "state {} out of range for a graph of {states} states", state.0)
+            }
+            BuildSgError::SignalOutOfRange { signal, signals } => {
+                write!(f, "signal {} out of range for a graph of {signals} signals", signal.0)
             }
         }
     }
@@ -165,17 +175,19 @@ impl StateGraphBuilder {
     /// Finishes the graph with `initial` as initial state.
     ///
     /// # Errors
-    /// Fails if no state was added, or if `initial` or an arc endpoint is
-    /// not one of the added states.
+    /// Fails if no state was added, if `initial` or an arc endpoint is
+    /// not one of the added states, or if an arc's event names a signal
+    /// outside the graph's signal list.
     pub fn build(self, initial: StateId) -> Result<StateGraph, BuildSgError> {
         if self.codes.is_empty() {
             return Err(BuildSgError::Empty);
         }
         let n = self.codes.len();
         check_state(initial, n)?;
-        for &(src, _, dst) in &self.arcs {
+        for &(src, ev, dst) in &self.arcs {
             check_state(src, n)?;
             check_state(dst, n)?;
+            check_signal(ev.signal, self.signals.len())?;
         }
         let (succ_off, succ_arcs) = csr(n, &self.arcs, |&(src, ev, dst)| (src.0, (ev, dst)));
         let (pred_off, pred_arcs) = csr(n, &self.arcs, |&(src, ev, dst)| (dst.0, (ev, src)));
@@ -198,6 +210,15 @@ fn check_state(state: StateId, states: usize) -> Result<(), BuildSgError> {
         Ok(())
     } else {
         Err(BuildSgError::StateOutOfRange { state, states })
+    }
+}
+
+/// Fails with [`BuildSgError::SignalOutOfRange`] unless `signal < signals`.
+fn check_signal(signal: SignalId, signals: usize) -> Result<(), BuildSgError> {
+    if signal.0 < signals {
+        Ok(())
+    } else {
+        Err(BuildSgError::SignalOutOfRange { signal, signals })
     }
 }
 
@@ -298,8 +319,10 @@ impl StateGraph {
     /// # Errors
     /// The [`StateGraphBuilder::new`] validations,
     /// [`BuildSgError::StateOutOfRange`] when `initial` or an arc endpoint
-    /// is not below `codes.len()`, and [`BuildSgError::UngroupedArcs`] when
-    /// the stream violates the grouping precondition.
+    /// is not below `codes.len()`, [`BuildSgError::SignalOutOfRange`] when
+    /// an arc's event signal is not below `signals.len()`, and
+    /// [`BuildSgError::UngroupedArcs`] when the stream violates the
+    /// grouping precondition.
     pub fn from_grouped_arcs(
         name: impl Into<String>,
         signals: Vec<Signal>,
@@ -346,8 +369,10 @@ impl StateGraph {
     /// The [`StateGraphBuilder::new`] validations,
     /// [`BuildSgError::UngroupedArcs`] when `succ_off` is not a monotone
     /// cover of `arcs` (wrong length, decreasing, or not ending at
-    /// `arcs.len()`), and [`BuildSgError::StateOutOfRange`] when `initial`
-    /// or an arc target is not below `codes.len()`.
+    /// `arcs.len()`), [`BuildSgError::StateOutOfRange`] when `initial` or
+    /// an arc target is not below `codes.len()`, and
+    /// [`BuildSgError::SignalOutOfRange`] when an arc's event signal is not
+    /// below `signals.len()`.
     pub fn from_csr_parts(
         name: impl Into<String>,
         signals: Vec<Signal>,
@@ -370,22 +395,29 @@ impl StateGraph {
             return Err(BuildSgError::UngroupedArcs);
         }
         // The successor sort pass doubles as the predecessor degree
-        // count and the target range check (each segment is cache-hot
-        // right after its sort).
+        // count and the target and signal range checks (each segment is
+        // cache-hot right after its sort).
         let before = arcs.len();
         let mut pred_off = vec![0usize; n + 1];
         let mut out_of_range = None;
+        let mut bad_signal = None;
         let (succ_off, succ_arcs) = sort_and_compact(n, succ_off, arcs, |seg| {
-            for &(_, dst) in seg {
+            for &(ev, dst) in seg {
                 if dst.0 < n {
                     pred_off[dst.0 + 1] += 1;
                 } else {
                     out_of_range.get_or_insert(dst);
                 }
+                if ev.signal.0 >= signals.len() {
+                    bad_signal.get_or_insert(ev.signal);
+                }
             }
         });
         if let Some(state) = out_of_range {
             return Err(BuildSgError::StateOutOfRange { state, states: n });
+        }
+        if let Some(signal) = bad_signal {
+            return Err(BuildSgError::SignalOutOfRange { signal, signals: signals.len() });
         }
         if succ_arcs.len() != before {
             // Duplicates were compacted away after the count: redo it.
@@ -764,6 +796,47 @@ mod tests {
         assert_eq!(build(StateId(0), StateId(2)), out_of_range(StateId(2)));
         assert_eq!(build(StateId(2), StateId(1)), out_of_range(StateId(2)));
         assert_eq!(build(StateId(0), StateId(1)), Ok(()));
+    }
+
+    #[test]
+    fn build_rejects_out_of_range_signals() {
+        let mut b = StateGraphBuilder::new("range", one_signal()).unwrap();
+        b.add_states([0b0, 0b1]);
+        b.add_arc(StateId(0), Event::rise(SignalId(1)), StateId(1));
+        assert_eq!(
+            b.build(StateId(0)).map(|_| ()),
+            Err(BuildSgError::SignalOutOfRange { signal: SignalId(1), signals: 1 })
+        );
+    }
+
+    #[test]
+    fn from_grouped_arcs_rejects_out_of_range_signals() {
+        let arcs = [(StateId(0), Event::rise(SignalId(3)), StateId(1))];
+        assert_eq!(
+            StateGraph::from_grouped_arcs("range", one_signal(), vec![0b0, 0b1], StateId(0), arcs)
+                .map(|_| ()),
+            Err(BuildSgError::SignalOutOfRange { signal: SignalId(3), signals: 1 })
+        );
+    }
+
+    #[test]
+    fn from_csr_parts_rejects_out_of_range_signals() {
+        let build = |signal| {
+            StateGraph::from_csr_parts(
+                "range",
+                one_signal(),
+                vec![0b0, 0b1],
+                StateId(0),
+                vec![0, 1, 1],
+                vec![(Event::fall(SignalId(signal)), StateId(1))],
+            )
+            .map(|_| ())
+        };
+        assert_eq!(
+            build(1),
+            Err(BuildSgError::SignalOutOfRange { signal: SignalId(1), signals: 1 })
+        );
+        assert_eq!(build(0), Ok(()));
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub struct SymbolicReach {
     /// materialized ([`ReachStats::strategy`] is
     /// [`ReachStrategy::Symbolic`]).
     pub stats: ReachStats,
-    /// Live BDD nodes after the run (observability).
+    /// Nodes the run's BDD manager created (observability).
     pub bdd_nodes: usize,
 }
 

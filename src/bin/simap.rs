@@ -746,17 +746,12 @@ fn spill_snapshot(names: &[String], config: &Config) -> Result<String, Box<dyn E
 /// Measures the snapshot's `synthesis` section: per benchmark, the
 /// wall-clock of the Covers/Decompose/Map stages at `synth_jobs = 1`
 /// versus the recorded fan-out (`--synth-jobs`, floor 4), verifying on
-/// the way that both runs produce byte-identical JSON reports. The
-/// section closes with the BDD manager counters of a representative
-/// symbolic workload — every final cover of the suite built into one
-/// manager under a garbage-collection watermark, then sifted — so node
-/// pressure, GC activity and reordering effort are tracked per commit.
+/// the way that both runs produce byte-identical JSON reports.
 fn synthesis_snapshot(names: &[String], config: &Config) -> Result<String, Box<dyn Error>> {
     use std::fmt::Write as _;
     use std::time::Instant;
     let fanout = config.synth_jobs().max(4);
     let mut out = format!("{{\"jobs\":{fanout},\"benchmarks\":[");
-    let mut suite_covers: Vec<simap::boolean::Cover> = Vec::new();
     for (i, name) in names.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -785,18 +780,6 @@ fn synthesis_snapshot(names: &[String], config: &Config) -> Result<String, Box<d
                 format!("`{name}`: synth_jobs={fanout} report differs from sequential").into()
             );
         }
-        for signal in &fanned.outcome.mc.signals {
-            match &signal.body {
-                simap::core::mc::SignalBody::Combinational { cover, .. } => {
-                    suite_covers.push(cover.clone());
-                }
-                simap::core::mc::SignalBody::StandardC { set, reset } => {
-                    for rc in set.iter().chain(reset.iter()) {
-                        suite_covers.push(rc.cover.clone());
-                    }
-                }
-            }
-        }
         let _ = write!(
             out,
             "{{\"name\":\"{name}\",\
@@ -805,27 +788,7 @@ fn synthesis_snapshot(names: &[String], config: &Config) -> Result<String, Box<d
              \"map_us\":{{\"j1\":{m1},\"jn\":{mn}}}}}"
         );
     }
-    let mut bdd = simap::boolean::Bdd::new();
-    bdd.set_gc_watermark(Some(1 << 14));
-    let mut roots = Vec::new();
-    for cover in &suite_covers {
-        let f = bdd.from_cover(cover);
-        bdd.protect(f);
-        roots.push(f);
-    }
-    bdd.sift(&roots);
-    let stats = bdd.stats();
-    let _ = write!(
-        out,
-        "],\"bdd\":{{\"live_nodes\":{},\"peak_nodes\":{},\"gc_runs\":{},\
-         \"collected_nodes\":{},\"reorders\":{},\"level_swaps\":{}}}}}",
-        stats.live_nodes,
-        stats.peak_nodes,
-        stats.gc_runs,
-        stats.collected_nodes,
-        stats.reorders,
-        stats.level_swaps
-    );
+    out.push_str("]}");
     Ok(out)
 }
 

@@ -10,14 +10,18 @@ fn symbolic_config() -> Config {
     Config::builder().reach_strategy(ReachStrategy::Symbolic).build().unwrap()
 }
 
+/// Sixteen independent 4-state rings: 4^16 ≈ 4.3 billion markings.
+fn ring_grid() -> Stg {
+    let parts: Vec<Stg> = (0..16).map(|_| patterns::sequencer(2, None)).collect();
+    patterns::parallel("grid", &parts)
+}
+
 /// The acceptance-bar workload: a net whose reachable set blows far past
 /// the enumerative engines' configured StateLimit still gets an exact
 /// state count (and a CSC verdict) symbolically.
 #[test]
 fn symbolic_counts_beyond_the_enumerative_state_limit() {
-    // Sixteen independent 4-state rings: 4^16 ≈ 4.3 billion markings.
-    let parts: Vec<Stg> = (0..16).map(|_| patterns::sequencer(2, None)).collect();
-    let stg = patterns::parallel("grid", &parts);
+    let stg = ring_grid();
     let reach = ReachConfig { max_states: 50_000, ..ReachConfig::default() };
 
     // Every enumerative engine gives up at the limit…
@@ -108,4 +112,27 @@ fn threshold_does_not_change_the_counts() {
     assert_eq!(wide.initial_code, narrow.initial_code);
     assert_eq!(wide.csc_conflict_codes, narrow.csc_conflict_codes);
     assert_eq!(wide.regions, narrow.regions);
+}
+
+/// Pins the counts and the node store of the fixed-order manager: the
+/// variable order, the unique table and the operation sequence together
+/// decide `bdd_nodes`, so any change to one of them shows here.
+#[test]
+fn symbolic_counts_and_node_store_are_pinned() {
+    let nets = [
+        ("master-read", simap::stg::benchmark("master-read").expect("known")),
+        ("mmu", simap::stg::benchmark("mmu").expect("known")),
+        ("mr1", simap::stg::benchmark("mr1").expect("known")),
+        ("grid", ring_grid()),
+    ];
+    let expected: [(u64, u64, usize); 4] = [
+        (320, 968, 18252),
+        (192, 588, 35930),
+        (384, 1356, 131411),
+        (4u64.pow(16), 4u64.pow(16) / 4 * 64, 131559),
+    ];
+    for ((name, stg), want) in nets.iter().zip(expected) {
+        let sym = reach_symbolic(stg, &ReachConfig::default()).expect("symbolic summary");
+        assert_eq!((sym.states, sym.edges, sym.bdd_nodes), want, "{name}");
+    }
 }
